@@ -59,6 +59,14 @@ def _load_vector(path: str) -> RepVector:
             % (path, exc.lineno, exc.colno, exc.msg))
     if not isinstance(data, list) or not data:
         raise click.ClickException("input must be a nonempty list of terms")
+    try:
+        return _vector_from_terms(data)
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise click.ClickException("bad term in %s: %s: %s"
+                                   % (path, type(exc).__name__, exc))
+
+
+def _vector_from_terms(data: list) -> RepVector:
     first = data[0]
     if "exponents" in first:
         exps = [tuple(int(e) for e in t["exponents"]) for t in data]
@@ -245,14 +253,9 @@ def table1(fmt):
               type=click.Choice(["json", "csv", "markdown"]), show_default=True)
 def table2(fixtures, row, fmt):
     """Re-verify the six-dimensional minimal-metric table."""
-    reports = run_table2(fixtures)
-    if row is not None:
-        key = row.replace(".", "").replace("(", "").replace(")", "").lower()
-        reports = [r for r in reports
-                   if key in r.name.replace(".", "").replace("(", "")
-                   .replace(")", "").lower()]
-        if not reports:
-            raise click.UsageError("no row matches %r" % row)
+    reports = run_table2(fixtures, row=row)
+    if row is not None and not reports:
+        raise click.UsageError("no row matches %r" % row)
     rows = [{
         "row": r.label,
         "passed": r.passed,

@@ -16,25 +16,19 @@ is re-verified row by row from these primitives.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 from typing import Optional
 
-import sympy
-
+from . import _exact
 from .coeffs import Coeff
 from .lattice import sp_diag_roots
 from .nicecrit import Verdict, critical_coefficients, is_distinguished
 from .ratgeom import PointSet, Vec, mcc
 from .reps import (RepVector, SymMatrix, apply_matrix, moment_map,
                    moment_map_restricted, support_projected)
-
-
-def _coeff_to_sympy(c: Coeff):
-    return sympy.Rational(c.r) * sympy.sqrt(c.s)
 
 
 class LieBracket:
@@ -63,14 +57,6 @@ class LieBracket:
                 out[k] = sign * c
         return out
 
-    def adjoint_sympy(self, i: int):
-        """Matrix of ad(e_i) = mu(e_i, .) with exact sympy entries."""
-        m = sympy.zeros(self.n, self.n)
-        for j in range(self.n):
-            for k, c in self.of_basis(i, j).items():
-                m[k, j] = _coeff_to_sympy(c)
-        return m
-
 
 @dataclass(frozen=True)
 class ValidationError(Exception):
@@ -81,47 +67,112 @@ class ValidationError(Exception):
         return "%s violation at %r" % (self.kind, self.witness)
 
 
+def _prime_factors(s: int) -> list[int]:
+    """Primes dividing the squarefree positive integer s."""
+    out, d = [], 2
+    while d * d <= s:
+        if s % d == 0:
+            out.append(d)
+            s //= d
+        d += 1
+    return out + [s] if s > 1 else out
+
+
+class _RadicalField:
+    """K = Q(sqrt p : p a prime dividing some radicand), as a vector space over Q.
+
+    The basis is {sqrt d : d a squarefree product of those primes}, so K has
+    degree 2^(number of primes).  A K-linear problem becomes a rational one
+    ``degree`` times its size (restriction of scalars); with no primes the
+    degree is 1 and nothing changes.
+    """
+
+    def __init__(self, radicands):
+        primes = sorted({p for s in radicands for p in _prime_factors(s)})
+        self.basis = [1]
+        for p in primes:
+            self.basis += [d * p for d in self.basis]
+        self.degree = len(self.basis)
+        self._pos = {d: u for u, d in enumerate(self.basis)}
+
+    def times_basis(self, c: Coeff, u: int) -> tuple[int, Fraction]:
+        """c * sqrt(basis[u]) as (v, r), meaning r * sqrt(basis[v])."""
+        prod = c * Coeff(1, self.basis[u])
+        return self._pos[prod.s], prod.r
+
+
+def _rational_form(mu: LieBracket) -> tuple[LieBracket, _RadicalField]:
+    """mu / sqrt(s), s the radicand of its first term, and the field it lives in.
+
+    Jacobi, nilpotency and Der(mu) are unchanged by scaling, and a bracket
+    whose constants share one radicand becomes rational (degree 1).
+    """
+    terms = mu.vector.sorted_terms()
+    if not terms:
+        return mu, _RadicalField(())
+    unit = Coeff.from_square(Fraction(1, terms[0][1].s))
+    scaled = LieBracket(mu.vector.scale(unit))
+    return scaled, _RadicalField(c.s for c in scaled.vector.terms.values())
+
+
+def _bracket(consts: dict, x: dict, y: dict) -> dict:
+    """[x, y] for sparse rational vectors, from structure constants."""
+    out: dict = {}
+    for p, a in x.items():
+        for q, b in y.items():
+            for r, c in consts.get((p, q), {}).items():
+                out[r] = out.get(r, 0) + a * b * c
+    return {r: v for r, v in out.items() if v != 0}
+
+
+def _span(vectors, dim: int) -> list[dict]:
+    """A basis, as sparse vectors, of the rational span of sparse vectors."""
+    red, pivots = _exact.rref([[v.get(t, 0) for t in range(dim)] for v in vectors if v])
+    return [{t: x for t, x in enumerate(red[r]) if x != 0} for r in range(len(pivots))]
+
+
 def validate(mu: LieBracket, two_step: bool = False) -> None:
     """Check Jacobi, nilpotency, and optionally the two-step condition.
 
     Raises ValidationError with the witnessing basis triple.  All checks are
-    exact (square-root coefficients are handled symbolically).
+    exact rational arithmetic: mu is scaled to rational constants, or, when
+    its radicands differ, realified over Q on the basis e_i sqrt(d) of
+    K^n (restriction of scalars preserves Jacobi and nilpotency).
     """
     n = mu.n
-    ads = [mu.adjoint_sympy(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                jac = sympy.zeros(n, 1)
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for t, coeff in mu.of_basis(a, b).items():
-                        jac += ads[c][:, t] * (-_coeff_to_sympy(coeff))
-                # ad(e_c) mu(e_a,e_b) = -mu(mu(e_a,e_b), e_c); Jacobi says the
-                # cyclic sum of mu(mu(e_a,e_b), e_c) vanishes.
-                if any(x != 0 for x in jac):
-                    raise ValidationError("jacobi", (i, j, k))
+    nu, field = _rational_form(mu)
+    deg, dim = field.degree, n * field.degree
+    # Realified structure constants: (p, q) -> {r: x}, index i * deg + u for
+    # the basis vector e_i sqrt(basis[u]); both argument orders are stored.
+    consts: dict = {}
+    for (i, j, k), c in nu.vector.terms.items():
+        for u, du in enumerate(field.basis):
+            for w in range(deg):
+                v, x = field.times_basis(c * Coeff(1, du), w)
+                consts.setdefault((i * deg + u, j * deg + w), {})[k * deg + v] = x
+                consts.setdefault((j * deg + w, i * deg + u), {})[k * deg + v] = -x
+    # Jacobi is K-trilinear, so the K-basis triples e_i (u = 0) suffice.
+    e = [{i * deg: Fraction(1)} for i in range(n)]
+    for i, j, k in combinations(range(n), 3):
+        jac: dict = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for r, x in _bracket(consts, _bracket(consts, e[a], e[b]), e[c]).items():
+                jac[r] = jac.get(r, 0) + x
+        if any(x != 0 for x in jac.values()):
+            raise ValidationError("jacobi", (i, j, k))
     if two_step:
         for (a, b, k) in mu.vector.terms:
             for c in range(n):
                 if mu.of_basis(k, c):
                     raise ValidationError("not_two_step", (a, b, c))
     # Lower central series: span of bracket values, then brackets with it.
-    current = sympy.Matrix.hstack(*(ads[i] for i in range(n))) if mu.vector.terms \
-        else sympy.zeros(n, 0)
-    current = _column_space(current)
-    while current.shape[1]:
-        nxt = sympy.Matrix.hstack(*(ads[i] * current for i in range(n)))
-        nxt = _column_space(nxt)
-        if nxt.shape[1] >= current.shape[1]:
+    current = _span([x for (p, q), x in consts.items() if p < q], dim)
+    while current:
+        nxt = _span([_bracket(consts, {p: 1}, v)
+                     for p in range(dim) for v in current], dim)
+        if len(nxt) >= len(current):
             raise ValidationError("not_nilpotent", ())
         current = nxt
-
-
-def _column_space(m):
-    cols = m.columnspace()
-    if not cols:
-        return sympy.zeros(m.shape[0], 0)
-    return sympy.Matrix.hstack(*cols)
 
 
 def ricci(mu: LieBracket) -> SymMatrix:
@@ -260,47 +311,46 @@ def find_minimal_metric(mu: LieBracket) -> MinimalMetricResult:
 def sym_derivation_dim(mu: LieBracket) -> int:
     """dim over R of Der(mu) intersected with sp(2m, R) (antidiagonal form).
 
-    Exact: the stacked linear system {A.mu = 0, A^T J + J A = 0} is solved
-    symbolically, so square-root structure constants are handled without
-    rounding.
+    Exact: sp(2m) is parametrized as A = J S with S symmetric, and the system
+    A.mu = 0 in the entries of S is solved over Q after scaling mu to rational
+    constants.  Mixed radicands are realified over their field K, whose
+    degree divides the rational nullity.
     """
     n = mu.n
     m = n // 2
     if 2 * m != n:
         raise ValueError("symplectic derivations need even dimension")
-    unknowns = [(a, b) for a in range(n) for b in range(n)]
-    col = {ab: t for t, ab in enumerate(unknowns)}
+    nu, field = _rational_form(mu)
+    deg = field.degree
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    col = {ij: t for t, ij in enumerate(pairs)}
+
+    def entry(a, b, c):
+        # c * A_ab as (unknown, coefficient), using A_ab = J_{a,n-1-a} S_{n-1-a,b}.
+        return col[tuple(sorted((n - 1 - a, b)))], (c if a < m else -c)
+
+    values = {(p, q): nu.of_basis(p, q) for p in range(n) for q in range(n)}
     rows = []
     # Bracket action: (A.mu)(e_p, e_q) = A mu(e_p,e_q) - mu(Ae_p,e_q) - mu(e_p,Ae_q)
     for p in range(n):
         for q in range(p + 1, n):
-            base = mu.of_basis(p, q)
             for k in range(n):
-                row = [sympy.Integer(0)] * (n * n)
-                for t, c in base.items():
-                    row[col[(k, t)]] += _coeff_to_sympy(c)
+                eq = [entry(k, t, c) for t, c in values[(p, q)].items()]
                 for a in range(n):
-                    for t, c in mu.of_basis(a, q).items():
-                        if t == k:
-                            row[col[(a, p)]] -= _coeff_to_sympy(c)
-                    for t, c in mu.of_basis(p, a).items():
-                        if t == k:
-                            row[col[(a, q)]] -= _coeff_to_sympy(c)
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    jsign = lambda i: 1 if i < m else -1
-    for a in range(n):
-        for b in range(n):
-            # (A^T J + J A)_ab = A_{n-1-b,a} J_{n-1-b,b} + J_{a,n-1-a} A_{n-1-a,b}
-            row = [sympy.Integer(0)] * (n * n)
-            row[col[(n - 1 - b, a)]] += jsign(n - 1 - b)
-            row[col[(n - 1 - a, b)]] += jsign(a)
-            if any(x != 0 for x in row):
-                rows.append(row)
-    if not rows:
-        return n * n
-    mat = sympy.Matrix(rows)
-    return n * n - mat.rank()
+                    c = values[(a, q)].get(k)
+                    if c is not None:
+                        eq.append(entry(a, p, -c))
+                    c = values[(p, a)].get(k)
+                    if c is not None:
+                        eq.append(entry(a, q, -c))
+                # One K-linear equation is deg rational ones, one per basis root.
+                block = [[Fraction(0)] * (len(pairs) * deg) for _ in range(deg)]
+                for t, c in eq:
+                    for u in range(deg):
+                        v, x = field.times_basis(c, u)
+                        block[v][t * deg + u] += x
+                rows += [row for row in block if any(row)]
+    return len(pairs) - _exact.rank(rows) // deg
 
 
 @dataclass
@@ -363,25 +413,21 @@ def _verify_instance(row: dict, inst: dict, check_dim_aut: bool) -> TableRowRepo
                           tuple(mismatches))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ORBITFORGE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _row_key(name: str) -> str:
+    return name.replace(".", "").replace("(", "").replace(")", "").lower()
 
 
-def run_table2(path: Optional[str] = None, check_dim_aut: bool = True):
-    """Re-verify every table row; returns a list of TableRowReport.
+def run_table2(path: Optional[str] = None, check_dim_aut: bool = True,
+               row: Optional[str] = None):
+    """Re-verify the table; returns a list of TableRowReport, one per instance.
 
-    Instances are independent, so they are checked in parallel when the
-    ORBITFORGE_THREADS environment variable asks for more than one worker.
+    ``row`` restricts the check to the rows whose name contains it, ignoring
+    case, dots and parentheses ("18a" selects "18.(a_t)"); other rows are
+    not computed.
     """
     fixture = load_table2_fixture(path)
-    jobs = [(row, inst) for row in fixture["rows"] for inst in row["instances"]]
-    threads = _thread_count()
-    if threads == 1 or len(jobs) <= 1:
-        return [_verify_instance(row, inst, check_dim_aut) for row, inst in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(
-            lambda job: _verify_instance(job[0], job[1], check_dim_aut), jobs))
+    rows = fixture["rows"]
+    if row is not None:
+        rows = [r for r in rows if _row_key(row) in _row_key(r["name"])]
+    return [_verify_instance(r, inst, check_dim_aut)
+            for r in rows for inst in r["instances"]]

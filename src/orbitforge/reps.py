@@ -413,15 +413,17 @@ def sym_sp_basis(m: int) -> list[SymMatrix]:
 
 
 def project_sym_sp(mat: SymMatrix, m: int) -> SymMatrix:
-    """Orthogonal (trace form) projection onto sym(2m) intersect sp(2m)."""
-    basis = sym_sp_basis(m)
-    gram = [[bi.trace_inner(bj) for bj in basis] for bi in basis]
-    rhs = [b.trace_inner(mat) for b in basis]
-    coeffs = _exact.solve(gram, rhs)
-    out = SymMatrix([[0] * mat.n for _ in range(mat.n)])
-    for c, b in zip(coeffs, basis):
-        out = out + c * b
-    return out
+    """Orthogonal (trace form) projection onto sym(2m) intersect sp(2m).
+
+    S -> J S J is an isometric involution of sym(2m) whose fixed space is
+    {S J + J S = 0}, so the projection is (S + J S J) / 2, with entries
+    (J S J)_ab = -sgn(a) sgn(b) S_{n-1-a, n-1-b}, sgn(i) = +1 for i < m.
+    """
+    n = 2 * m
+    sgn = [1 if i < m else -1 for i in range(n)]
+    s = mat.rows
+    return SymMatrix([[(s[a][b] - sgn[a] * sgn[b] * s[n - 1 - a][n - 1 - b]) / 2
+                       for b in range(n)] for a in range(n)])
 
 
 def moment_map_restricted(v: RepVector, subgroup: str,

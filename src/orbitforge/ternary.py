@@ -13,8 +13,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional
 
-import networkx as nx
-
 from .lattice import chamber_canonical, gl_roots
 from .nicecrit import CriticalFamily, critical_coefficients, is_nice
 from .ratgeom import PointSet, Vec, mcc
@@ -55,6 +53,33 @@ def omega_weights(beta, d: int, n: int = 3) -> PointSet:
     return PointSet(hits)
 
 
+def _maximal_independent_sets(n: int, edges) -> list[list[int]]:
+    """Maximal independent sets of the graph on range(n), each sorted.
+
+    Bron-Kerbosch with pivoting (Bron & Kerbosch 1973) on the complement:
+    an independent set here is a clique there.
+    """
+    adjacent = [set() for _ in range(n)]
+    for i, j in edges:
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    free = [set(range(n)) - adjacent[v] - {v} for v in range(n)]
+    out = []
+
+    def expand(chosen, candidates, excluded):
+        if not candidates and not excluded:
+            out.append(sorted(chosen))
+            return
+        pivot = max(candidates | excluded, key=lambda u: len(free[u] & candidates))
+        for v in sorted(candidates - free[pivot]):
+            expand(chosen | {v}, candidates & free[v], excluded & free[v])
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    expand(set(), set(range(n)), set())
+    return out
+
+
 def maximal_nice_subsets(weights: PointSet, n: int = 3, d: Optional[int] = None):
     """Maximal subsets whose monomial span is nice, as PointSets.
 
@@ -63,18 +88,14 @@ def maximal_nice_subsets(weights: PointSet, n: int = 3, d: Optional[int] = None)
     candidate is confirmed with the full perpendicularity check.
     """
     roots = gl_roots(n)
-    g = nx.Graph()
-    g.add_nodes_from(range(len(weights)))
-    for i in range(len(weights)):
-        for j in range(i + 1, len(weights)):
-            if (weights[i] - weights[j]) in roots:
-                g.add_edge(i, j)
+    edges = [(i, j) for i in range(len(weights)) for j in range(i + 1, len(weights))
+             if (weights[i] - weights[j]) in roots]
     if d is None:
         d = -sum(weights[0], start=0)
     backend = PolyBackend(n, int(d))
     out = []
-    for indep in nx.find_cliques(nx.complement(g)):
-        subset = PointSet([weights[i] for i in sorted(indep)])
+    for indep in _maximal_independent_sets(len(weights), edges):
+        subset = PointSet([weights[i] for i in indep])
         nice, witness = is_nice(subset, backend, roots)
         if not nice:
             raise AssertionError("independent set failed the full nice check: %r"

@@ -1,10 +1,15 @@
 """Command-line interface: shapes, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import orbitforge
+from orbitforge import nilgeom
 from orbitforge.cli import main
 
 
@@ -90,6 +95,25 @@ def test_check_reports_parse_errors(runner, tmp_path):
     assert "parse error" in res.output
 
 
+BAD_TERMS = {
+    "repeated_index": [{"i": 1, "j": 1, "k": 3, "coeff": "1"}],
+    "short_exponents": [{"exponents": [1, 3, 0], "coeff": "1"},
+                        {"exponents": [4, 0], "coeff": "1"}],
+}
+
+
+@pytest.mark.parametrize("command", ["check", "minimize"])
+@pytest.mark.parametrize("name", sorted(BAD_TERMS))
+def test_bad_terms_are_one_line_errors(runner, tmp_path, command, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_TERMS[name]))
+    res = runner.invoke(main, [command, "--input", str(path)])
+    assert res.exit_code == 1
+    assert not isinstance(res.exception, (ValueError, KeyError, TypeError))
+    assert res.output.startswith("Error: bad term in")
+    assert len(res.output.splitlines()) == 1
+
+
 def test_minimize_round_trip(runner, tmp_path):
     path = tmp_path / "mu.json"
     path.write_text(json.dumps([
@@ -152,6 +176,31 @@ def test_table2_row_filter(runner):
     assert payload["rows"][0]["derivation_multiple"] == "1/4"
     res = runner.invoke(main, ["table2", "--row", "nonexistent"])
     assert res.exit_code != 0
+
+
+def test_table2_row_verifies_only_that_row(runner, monkeypatch):
+    calls = []
+    original = nilgeom._verify_instance
+
+    def counting(*args, **kwargs):
+        calls.append(args[1]["label"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nilgeom, "_verify_instance", counting)
+    res = _invoke(runner, ["table2", "--row", "16a"])
+    assert json.loads(res.output)["passed"]
+    assert calls == ["16.(a)"]
+
+
+def test_cli_imports_no_sympy_networkx_or_numpy():
+    probe = ("import sys, orbitforge.cli, orbitforge.ternary, orbitforge.nilgeom; "
+             "print(sorted({'sympy', 'networkx', 'numpy'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(orbitforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_table1_passes(runner):

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from orbitforge import _exact
 from orbitforge.coeffs import Coeff
 from orbitforge.lattice import gl_roots
 from orbitforge.nilgeom import LieBracket, ricci
 from orbitforge.ratgeom import PointSet, Vec
 from orbitforge.reps import (RepVector, SymMatrix, apply_diag,
                              apply_elementary, apply_matrix, group_scale,
-                             moment_map, moment_map_restricted, support,
-                             support_projected, sym_sp_basis)
+                             moment_map, moment_map_restricted, project_sym_sp,
+                             support, support_projected, sym_sp_basis)
 
 
 def test_poly_basis_norms_and_weights():
@@ -105,6 +106,30 @@ def test_sym_sp_basis_dimension():
     for m in (1, 2, 3):
         basis = sym_sp_basis(m)
         assert len(basis) == m * m + m
+
+
+def _basis_projection(mat, m):
+    # Trace-form projection through the sym_sp_basis Gram system.
+    basis = sym_sp_basis(m)
+    gram = [[bi.trace_inner(bj) for bj in basis] for bi in basis]
+    coeffs = _exact.solve(gram, [b.trace_inner(mat) for b in basis])
+    out = SymMatrix([[0] * mat.n for _ in range(mat.n)])
+    for c, b in zip(coeffs, basis):
+        out = out + c * b
+    return out
+
+
+def test_project_sym_sp_closed_form_matches_basis_projection():
+    rng = random.Random(11)
+    for m in (1, 2, 3):
+        n = 2 * m
+        for _ in range(20):
+            s = [[Fraction(0)] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(a, n):
+                    s[a][b] = s[b][a] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            mat = SymMatrix(s)
+            assert project_sym_sp(mat, m) == _basis_projection(mat, m)
 
 
 def test_restricted_moment_map_worked_bracket():

@@ -1,12 +1,16 @@
 """Strata of ternary forms and the degree-4 classification."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitforge.lattice import chamber_canonical
 from orbitforge.ratgeom import Vec
-from orbitforge.ternary import (classify, display_type, maximal_nice_subsets,
+from orbitforge.ternary import (_maximal_independent_sets, classify,
+                                display_type, maximal_nice_subsets,
                                 omega_weights, stratifying_set, verify_table1)
 
 QUARTIC_TYPES = {
@@ -102,3 +106,28 @@ def test_verify_table1_all_rows_pass():
     assert len(reports) == 13
     for r in reports:
         assert r.passed, (r.type, r.mismatches)
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 10))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [e for e, k in zip(pairs, keep) if k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs())
+def test_maximal_independent_sets_match_brute_force(graph):
+    n, edges = graph
+    edge_set = set(edges)
+
+    def independent(s):
+        return not any(e in edge_set for e in combinations(s, 2))
+
+    every = [set(s) for k in range(n + 1) for s in combinations(range(n), k)
+             if independent(s)]
+    maximal = sorted(sorted(s) for s in every if not any(s < t for t in every))
+    got = _maximal_independent_sets(n, edges)
+    assert sorted(got) == maximal
+    assert len({tuple(s) for s in got}) == len(got)
