@@ -60,10 +60,13 @@ def _load_vector(path: str) -> RepVector:
     if not isinstance(data, list) or not data:
         raise click.ClickException("input must be a nonempty list of terms")
     try:
-        return _vector_from_terms(data)
+        v = _vector_from_terms(data)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise click.ClickException("bad term in %s: %s: %s"
                                    % (path, type(exc).__name__, exc))
+    if v.is_zero():
+        raise click.ClickException("the terms in %s cancel to the zero vector" % path)
+    return v
 
 
 def _vector_from_terms(data: list) -> RepVector:
@@ -256,12 +259,13 @@ def table2(fixtures, row, fmt):
     reports = run_table2(fixtures, row=row)
     if row is not None and not reports:
         raise click.UsageError("no row matches %r" % row)
+    # A non-nice row has no diagonal mm_sp, derivation or beta: null.
     rows = [{
         "row": r.label,
         "passed": r.passed,
-        "beta_norm_sq": frac_str(r.report.beta_norm_sq),
-        "mm_sp": vec_strs(r.report.mm_sp.diag()),
-        "derivation": vec_strs(r.report.derivation.diag()),
+        "beta_norm_sq": frac_str(r.report.beta_norm_sq) if r.report.nice else None,
+        "mm_sp": vec_strs(r.report.mm_sp.diag()) if r.report.nice else None,
+        "derivation": vec_strs(r.report.derivation.diag()) if r.report.nice else None,
         "derivation_multiple": (frac_str(r.report.multiple)
                                 if r.report.multiple is not None else None),
         "dim_aut": r.dim_aut,

@@ -5,8 +5,8 @@ Every quantity the criteria need (norms, Gram data, moment maps) is quadratic
 in the coefficients, so a single radical per coefficient keeps the whole
 pipeline rational: ``Coeff`` stores r * sqrt(s) with r rational and s a
 squarefree positive integer.  Products fold radicands together and collapse
-perfect squares; sums are only defined within one radicand, which is all the
-criteria ever produce.
+perfect squares; sums are only defined within one radicand, and a sum of
+distinct radicands raises ``IrrationalError``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,11 @@ def _square_free_split(n: int) -> tuple[int, int]:
             m *= d
         d += 1
     return k, m * n
+
+
+class IrrationalError(ValueError):
+    """An exact result left what ``Coeff`` holds: a rational was required and
+    the value has a square root, or a sum mixes distinct radicands."""
 
 
 class Coeff:
@@ -71,7 +76,7 @@ class Coeff:
 
     def rational(self) -> Fraction:
         if self.s != 1:
-            raise ValueError("irrational value %r" % self)
+            raise IrrationalError("irrational value %r" % self)
         return self.r
 
     def square(self) -> Fraction:
@@ -87,8 +92,8 @@ class Coeff:
         if other.r == 0:
             return self
         if self.s != other.s:
-            raise ValueError("cannot add mixed radicands sqrt(%d), sqrt(%d)"
-                             % (self.s, other.s))
+            raise IrrationalError("cannot add mixed radicands sqrt(%d), sqrt(%d)"
+                                  % (self.s, other.s))
         return Coeff(self.r + other.r, self.s)
 
     def __sub__(self, other):

@@ -22,7 +22,7 @@ import numpy as np
 from . import _exact
 from .lattice import project_to_sp_diag
 from .ratgeom import PointSet, Vec
-from .reps import RepVector
+from .reps import RepVector, apply_terms, moment_parts
 
 ARMIJO = 1e-4
 NEWTON_TOL = 1e-12
@@ -53,7 +53,7 @@ class FloatVector:
         return total
 
     def apply_matrix(self, matrix) -> "FloatVector":
-        return FloatVector(self.backend, self.backend.apply_matrix(matrix, self.terms))
+        return FloatVector(self.backend, apply_terms(self.backend, matrix, self.terms))
 
     def scale(self, factor: float) -> "FloatVector":
         return FloatVector(self.backend, {i: c * factor for i, c in self.terms.items()})
@@ -67,22 +67,7 @@ class FloatVector:
 
 def moment_map_float(v: FloatVector):
     """Moment map of a float vector, as an n x n list-of-lists matrix."""
-    n = v.backend.n
-    nsq = v.norm_sq()
-    if nsq == 0.0:
-        raise ValueError("moment map of the zero vector")
-    mat = [[0.0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            e_ab = [[1.0 if (r, c) == (a, b) else 0.0 for c in range(n)] for r in range(n)]
-            val = v.apply_matrix(e_ab).inner(v)
-            if a != b:
-                e_ba = [[1.0 if (r, c) == (b, a) else 0.0 for c in range(n)] for r in range(n)]
-                val += v.apply_matrix(e_ba).inner(v)
-                mat[a][b] = mat[b][a] = val / (2.0 * nsq)
-            else:
-                mat[a][a] = val / nsq
-    return mat
+    return moment_parts(v.backend, v.terms, v.norm_sq())[1]
 
 
 def is_critical(v: FloatVector, tol: float = CRITICAL_TOL):
@@ -215,10 +200,11 @@ def solve_moment_equation(w: RepVector, beta, subgroup: str = "gl",
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             step = -grad
-        # Inside the quadratic-convergence basin the phi decrease drops below
-        # float noise and backtracking would stall; take the full step there.
+        # Once -grad @ step (the squared Newton decrement, twice the predicted
+        # phi decrease) is below float noise, backtracking cannot see a
+        # decrease and would stall; take the full step there.
         t = 1.0
-        if res > 1e-8:
+        if -float(grad @ step) > 1e-12:
             while True:
                 p_new, phi_new = state(z + t * step)
                 if phi_new <= phi + ARMIJO * t * float(grad @ step) or t < 1e-14:

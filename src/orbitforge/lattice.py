@@ -81,6 +81,11 @@ def sp_diag_roots(m: int) -> RootSystem:
     return RootSystem(2 * m, frozenset(roots), "sp")
 
 
+def sp_sign(i: int, m: int) -> int:
+    """J_{i, 2m-1-i}, the one nonzero entry in row i of the antidiagonal form J."""
+    return 1 if i < m else -1
+
+
 def project_to_sp_diag(w, m: int) -> Vec:
     """Orthogonal (trace form) projection onto the sp diagonal patterns."""
     w = Vec(w)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Optional
 
 from . import _exact
-from .lattice import RootSystem, project_to_sp_diag
+from .lattice import RootSystem, project_to_sp_diag, sp_sign
 from .ratgeom import PointSet, Vec, interior_certificate, mcc
-from .reps import RepVector, support
+from .reps import RepVector, apply_terms, support
 
 
 class GramMatrix:
@@ -80,59 +81,28 @@ def _weight_index_table(backend, roots: RootSystem) -> dict:
 
 
 def _root_space(roots: RootSystem, gamma: Vec):
-    """Basis (as rational matrices) of the root space g_gamma."""
-    n = roots.n
-    if roots.subgroup in ("gl", "sl"):
-        positions = []
-        for a in range(n):
-            for b in range(n):
-                if a != b:
-                    e = [0] * n
-                    e[a], e[b] = 1, -1
-                    if Vec(e) == gamma:
-                        positions.append((a, b))
-        out = []
-        for (a, b) in positions:
-            mat = [[Fraction(0)] * n for _ in range(n)]
-            mat[a][b] = Fraction(1)
-            out.append(mat)
-        return out
-    if roots.subgroup == "sp":
-        m = n // 2
-        positions = []
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                e = [0] * n
-                e[a], e[b] = 1, -1
-                if project_to_sp_diag(Vec(e), m) == gamma:
-                    positions.append((a, b))
-        if not positions:
-            return []
-        # Impose the symplectic condition M^T J + J M = 0 on matrices
-        # supported on these positions (antidiagonal J).
-        jsign = lambda i: 1 if i < m else -1
-        rows = []
-        for a in range(n):
-            for b in range(n):
-                row = []
-                for (p, q) in positions:
-                    val = Fraction(0)
-                    if (p, q) == (n - 1 - b, a):
-                        val += jsign(n - 1 - b)
-                    if (p, q) == (n - 1 - a, b):
-                        val += jsign(a)
-                    row.append(val)
-                rows.append(row)
-        out = []
-        for vec in _exact.nullspace(rows, ncols=len(positions)):
-            mat = [[Fraction(0)] * n for _ in range(n)]
-            for (p, q), x in zip(positions, vec):
-                mat[p][q] = x
-            out.append(mat)
-        return out
-    raise ValueError("unknown subgroup %r" % roots.subgroup)
+    """Basis (as rational matrices) of the root space g_gamma.
+
+    gl/sl: the E_ab with e_a - e_b = gamma.  sp: M^T J + J M = 0 pairs
+    position (a, b) with (n-1-b, n-1-a) (the same one when b = n-1-a), and
+    each pair with projected root gamma spans E_ab - sgn(a) sgn(b) E_{n-1-b,n-1-a}.
+    """
+    if roots.subgroup not in ("gl", "sl", "sp"):
+        raise ValueError("unknown subgroup %r" % roots.subgroup)
+    n, m, sp = roots.n, roots.n // 2, roots.subgroup == "sp"
+    out = []
+    for a, b in permutations(range(n), 2):
+        e = [0] * n
+        e[a], e[b] = 1, -1
+        root = project_to_sp_diag(e, m) if sp else Vec(e)
+        if root != gamma or (sp and (a, b) > (n - 1 - b, n - 1 - a)):
+            continue
+        mat = [[Fraction(0)] * n for _ in range(n)]
+        mat[a][b] += 1
+        if sp:
+            mat[n - 1 - b][n - 1 - a] -= sp_sign(a, m) * sp_sign(b, m)
+        out.append(mat)
+    return out
 
 
 def is_nice(weights: PointSet, backend, roots: RootSystem):
@@ -159,9 +129,7 @@ def is_nice(weights: PointSet, backend, roots: RootSystem):
         gamma = wj - wi
         for mat in _root_space(roots, gamma):
             for idx in table[wi]:
-                image = RepVector(backend, {idx: 1})
-                image = RepVector(backend, backend.apply_matrix(mat, image.terms))
-                if any(t in span_indices for t in image.terms):
+                if any(t in span_indices for t in apply_terms(backend, mat, {idx: 1})):
                     return False, NiceWitness(wi, wj, gamma)
     return True, None
 

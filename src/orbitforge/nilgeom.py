@@ -23,12 +23,12 @@ from itertools import combinations
 from typing import Optional
 
 from . import _exact
-from .coeffs import Coeff
-from .lattice import sp_diag_roots
+from .coeffs import Coeff, IrrationalError
+from .lattice import sp_diag_roots, sp_sign
 from .nicecrit import Verdict, critical_coefficients, is_distinguished
 from .ratgeom import PointSet, Vec, mcc
-from .reps import (RepVector, SymMatrix, apply_matrix, moment_map,
-                   moment_map_restricted, support_projected)
+from .reps import (RepVector, SymMatrix, apply_matrix, moment_map_restricted,
+                   support_projected)
 
 
 class LieBracket:
@@ -58,13 +58,13 @@ class LieBracket:
         return out
 
 
-@dataclass(frozen=True)
 class ValidationError(Exception):
-    kind: str       # "jacobi" | "not_nilpotent" | "not_two_step"
-    witness: tuple
+    """A failed Lie-axiom check: ``kind`` is "jacobi", "not_nilpotent" or
+    "not_two_step", ``witness`` the basis triple (empty for nilpotency)."""
 
-    def __str__(self):
-        return "%s violation at %r" % (self.kind, self.witness)
+    def __init__(self, kind: str, witness: tuple):
+        super().__init__("%s violation at %r" % (kind, witness))
+        self.kind, self.witness = kind, witness
 
 
 def _prime_factors(s: int) -> list[int]:
@@ -181,7 +181,8 @@ def ricci(mu: LieBracket) -> SymMatrix:
     Ric_ab = -1/2 sum <mu(e_a,e_i),e_j><mu(e_b,e_i),e_j>
              + 1/4 sum <mu(e_i,e_j),e_a><mu(e_i,e_j),e_b>
     with both sums over ordered pairs (i, j).  Satisfies the exact identity
-    moment_map(mu) * |mu|^2 = 4 Ric for nonzero mu.
+    moment_map(mu) * |mu|^2 = 4 Ric for nonzero mu.  Raises IrrationalError
+    when mixed radicands meet in one entry.
     """
     n = mu.n
     if not mu.vector.terms:
@@ -219,7 +220,7 @@ class MinimalReport:
     derivation: Optional[SymMatrix]  # D = mm_sp + |beta|^2 Id
     is_derivation: Optional[bool]
     multiple: Optional[Fraction]     # D = multiple * reference, if supplied
-    mm_sp: SymMatrix
+    mm_sp: Optional[SymMatrix]       # None when an entry is irrational
 
 
 def verify_minimal(mu: LieBracket, reference_derivation=None) -> MinimalReport:
@@ -233,8 +234,12 @@ def verify_minimal(mu: LieBracket, reference_derivation=None) -> MinimalReport:
     m = mu.n // 2
     if 2 * m != mu.n:
         raise ValueError("symplectic verification needs even dimension")
-    mm_sp = moment_map_restricted(mu.vector, "sp", m)
-    if not mm_sp.is_diagonal():
+    try:
+        mm_sp = moment_map_restricted(mu.vector, "sp", m)
+    except IrrationalError:
+        # Diagonal entries are rational, so an irrational one is off-diagonal.
+        mm_sp = None
+    if mm_sp is None or not mm_sp.is_diagonal():
         return MinimalReport(False, False, None, None, None, None, None, mm_sp)
     beta = mcc(support_projected(mu.vector, m))
     critical = mm_sp.diag() == beta
@@ -313,8 +318,9 @@ def sym_derivation_dim(mu: LieBracket) -> int:
 
     Exact: sp(2m) is parametrized as A = J S with S symmetric, and the system
     A.mu = 0 in the entries of S is solved over Q after scaling mu to rational
-    constants.  Mixed radicands are realified over their field K, whose
-    degree divides the rational nullity.
+    constants.  Column (i, j) is the image of mu under J (E_ij + E_ji).
+    Mixed radicands are realified over their field K, whose degree divides
+    the rational nullity.
     """
     n = mu.n
     m = n // 2
@@ -322,35 +328,22 @@ def sym_derivation_dim(mu: LieBracket) -> int:
         raise ValueError("symplectic derivations need even dimension")
     nu, field = _rational_form(mu)
     deg = field.degree
+    backend = nu.vector.backend
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    col = {ij: t for t, ij in enumerate(pairs)}
-
-    def entry(a, b, c):
-        # c * A_ab as (unknown, coefficient), using A_ab = J_{a,n-1-a} S_{n-1-a,b}.
-        return col[tuple(sorted((n - 1 - a, b)))], (c if a < m else -c)
-
-    values = {(p, q): nu.of_basis(p, q) for p in range(n) for q in range(n)}
-    rows = []
-    # Bracket action: (A.mu)(e_p, e_q) = A mu(e_p,e_q) - mu(Ae_p,e_q) - mu(e_p,Ae_q)
-    for p in range(n):
-        for q in range(p + 1, n):
-            for k in range(n):
-                eq = [entry(k, t, c) for t, c in values[(p, q)].items()]
-                for a in range(n):
-                    c = values[(a, q)].get(k)
-                    if c is not None:
-                        eq.append(entry(a, p, -c))
-                    c = values[(p, a)].get(k)
-                    if c is not None:
-                        eq.append(entry(a, q, -c))
-                # One K-linear equation is deg rational ones, one per basis root.
-                block = [[Fraction(0)] * (len(pairs) * deg) for _ in range(deg)]
-                for t, c in eq:
+    # Row (output index, component v) of the realified system; the unknown
+    # S_ij in K is deg rational unknowns, column t * deg + u for sqrt(basis[u]).
+    # J (E_ij + E_ji) has entry sgn(a) at (a, b) = (n-1-i, j) and (n-1-j, i).
+    rows: dict = {}
+    width = len(pairs) * deg
+    for t, (i, j) in enumerate(pairs):
+        for a, b in ((n - 1 - i, j), (n - 1 - j, i)):
+            for idx, c in nu.vector.terms.items():
+                for new, f in backend.act(a, b, idx):
                     for u in range(deg):
-                        v, x = field.times_basis(c, u)
-                        block[v][t * deg + u] += x
-                rows += [row for row in block if any(row)]
-    return len(pairs) - _exact.rank(rows) // deg
+                        v, x = field.times_basis(c * (sp_sign(a, m) * f), u)
+                        row = rows.setdefault((new, v), [Fraction(0)] * width)
+                        row[t * deg + u] += x
+    return len(pairs) - _exact.rank(list(rows.values())) // deg
 
 
 @dataclass
@@ -386,9 +379,12 @@ def _verify_instance(row: dict, inst: dict, check_dim_aut: bool) -> TableRowRepo
     expected_bns = Fraction(row["beta_norm_sq"])
     ref = [Fraction(x) for x in row["derivation_diag"]]
     mu = bracket_from_fixture_terms(inst["terms"])
-    validate(mu, two_step=True)
-    rep = verify_minimal(mu, reference_derivation=ref)
     mismatches = []
+    try:
+        validate(mu, two_step=True)
+    except ValidationError as exc:
+        mismatches.append(("validate", str(exc), "two-step nilpotent"))
+    rep = verify_minimal(mu, reference_derivation=ref)
     if not rep.nice:
         mismatches.append(("nice", False, True))
     else:

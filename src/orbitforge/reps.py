@@ -10,6 +10,11 @@ Two concrete GL_n(R)-representations are supported:
   e_k - e_i - e_j and squared norm 2 (the inner product sums over ordered
   index pairs).
 
+Each backend has one action primitive, ``act(a, b, idx)``: pi(E_ab) on one
+basis index, as at most three (index, integer factor) pairs.  The sparse
+``apply_terms``, the group actions built on it and the closed-form moment map
+mm_ab = <pi(E_ab)v, v> / |v|^2 use nothing else of the action.
+
 Vectors are sparse maps from basis index to an exact coefficient (rational or
 a single square root, see ``coeffs``), so that moment maps, Gram matrices and
 criticality identities are computed without any rounding.
@@ -22,8 +27,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Optional
 
-from .coeffs import Coeff
-from .lattice import project_to_sp_diag
+from .coeffs import Coeff, IrrationalError
+from .lattice import project_to_sp_diag, sp_sign
 from .ratgeom import PointSet, Vec
 from . import _exact
 
@@ -118,22 +123,14 @@ class PolyBackend:
                 yield from rec(prefix + (e,), remaining - e, slots - 1)
         yield from rec((), self.d, self.n)
 
-    def apply_matrix(self, matrix, terms: dict) -> dict:
-        # pi(M) p = -sum_{a,b} M[a][b] x_b dp/dx_a.  Works for exact and
-        # float coefficient maps alike; matrix entries set the scalar type.
-        out: dict = {}
-        for idx, coeff in terms.items():
-            for a in range(self.n):
-                if idx[a] == 0:
-                    continue
-                for b in range(self.n):
-                    if matrix[a][b] == 0:
-                        continue
-                    new = list(idx)
-                    new[a] -= 1
-                    new[b] += 1
-                    _accumulate(out, tuple(new), coeff * (-matrix[a][b] * idx[a]))
-        return out
+    def act(self, a: int, b: int, idx) -> list:
+        """pi(E_ab) x^idx = -x_b d/dx_a x^idx = -idx_a x^(idx - e_a + e_b)."""
+        if idx[a] == 0:
+            return []
+        new = list(idx)
+        new[a] -= 1
+        new[b] += 1
+        return [(tuple(new), -idx[a])]
 
 
 @dataclass(frozen=True)
@@ -167,34 +164,20 @@ class BracketBackend:
                 for k in range(self.n):
                     yield (i, j, k)
 
-    def apply_matrix(self, matrix, terms: dict) -> dict:
-        # (A.mu)(e_p, e_q) = A mu(e_p,e_q) - mu(A e_p, e_q) - mu(e_p, A e_q)
-        def mu(p, q):
-            sign = 1
-            if p > q:
-                p, q, sign = q, p, -1
-            out = {}
-            for (i, j, k), c in terms.items():
-                if (i, j) == (p, q):
-                    cur = out.get(k)
-                    out[k] = sign * c if cur is None else cur + sign * c
-            return out
+    def act(self, a: int, b: int, idx) -> list:
+        """pi(E_ab) mu_ij^k = [b=k] mu_ij^a - [a=i] mu_bj^k - [a=j] mu_ib^k.
 
-        out: dict = {}
-        for p in range(self.n):
-            for q in range(p + 1, self.n):
-                for k, c in mu(p, q).items():
-                    for a in range(self.n):
-                        if matrix[a][k] != 0:
-                            _accumulate(out, (p, q, a), c * matrix[a][k])
-                for a in range(self.n):
-                    if matrix[a][p] != 0:
-                        for k, c in mu(a, q).items():
-                            _accumulate(out, (p, q, k), c * -matrix[a][p])
-                    if matrix[a][q] != 0:
-                        for k, c in mu(p, a).items():
-                            _accumulate(out, (p, q, k), c * -matrix[a][q])
-        return out
+        From (A.mu)(x, y) = A mu(x, y) - mu(Ax, y) - mu(x, Ay); each mu_pq^r
+        is normalised to p < q (mu_qp^r = -mu_pq^r, mu_pp^r = 0).
+        """
+        i, j, k = idx
+        out = [((i, j, a), 1)] if b == k else []
+        if a == i:
+            out.append(((b, j, k), -1))
+        if a == j:
+            out.append(((i, b, k), -1))
+        return [((q, p, r), -f) if p > q else ((p, q, r), f)
+                for (p, q, r), f in out if p != q]
 
 
 def _accumulate(terms: dict, idx, coeff) -> None:
@@ -323,16 +306,33 @@ def elementary_matrix(n: int, i: int, j: int):
             for a in range(n)]
 
 
+def apply_terms(backend, matrix, terms: dict) -> dict:
+    """pi(M) on a sparse map basis index -> coefficient, through ``backend.act``.
+
+    Coefficients and matrix entries may be Coeff, Fraction or float; their
+    products set the scalar type of the result.  Coeff images of distinct
+    radicands that meet on one index raise IrrationalError.
+    """
+    entries = [(a, b, x) for a, row in enumerate(matrix)
+               for b, x in enumerate(row) if x != 0]
+    out: dict = {}
+    for idx, c in terms.items():
+        for a, b, x in entries:
+            for new, f in backend.act(a, b, idx):
+                _accumulate(out, new, c * (x * f))
+    return out
+
+
 def apply_elementary(i: int, j: int, v: RepVector) -> RepVector:
     """pi(E_ij) v (i == j allowed: the diagonal generator)."""
     mat = elementary_matrix(v.backend.n, i, j)
-    return RepVector(v.backend, v.backend.apply_matrix(mat, v.terms))
+    return RepVector(v.backend, apply_terms(v.backend, mat, v.terms))
 
 
 def apply_matrix(matrix, v: RepVector) -> RepVector:
     """pi(M) v for an arbitrary rational matrix M."""
     mat = [[Fraction(x) for x in row] for row in matrix]
-    return RepVector(v.backend, v.backend.apply_matrix(mat, v.terms))
+    return RepVector(v.backend, apply_terms(v.backend, mat, v.terms))
 
 
 def group_scale(multipliers, v: RepVector) -> RepVector:
@@ -356,24 +356,46 @@ def group_scale(multipliers, v: RepVector) -> RepVector:
     return RepVector(v.backend, out)
 
 
-def moment_map(v: RepVector) -> SymMatrix:
-    """The moment-map value mm(v): <mm(v), S> = <pi(S)v, v> / |v|^2."""
-    if v.is_zero():
+def moment_parts(backend, terms: dict, nsq) -> dict:
+    """mm_ab = <pi(E_ab)v, v> / |v|^2 for a sparse coefficient map, by radicand.
+
+    One pass over the terms for a <= b, mirrored: pi(X)^T = pi(X^T) makes mm
+    symmetric.  A Coeff summand r*sqrt(s) adds r to the part under key s;
+    Fraction and float summands go to key 1.  Square roots of distinct
+    squarefree integers are independent over Q, so an entry is zero exactly
+    when each of its parts is.  Returns {s: n x n list of rows}.
+    """
+    if not nsq:
         raise ValueError("moment map of the zero vector")
-    n = v.backend.n
-    nsq = v.norm_sq()
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            val = apply_elementary(a, b, v).inner(v)
-            if a != b:
-                val = val + apply_elementary(b, a, v).inner(v)
-            val = val.rational()
-            if a == b:
-                entries[a][a] = val / nsq
-            else:
-                entries[a][b] = entries[b][a] = val / (2 * nsq)
-    return SymMatrix(entries)
+    n = backend.n
+    parts: dict = {}
+    for idx, c in terms.items():
+        for a in range(n):
+            for b in range(a, n):
+                for new, f in backend.act(a, b, idx):
+                    d = terms.get(new)
+                    if d is not None:
+                        x = c * d * (f * backend.basis_norm_sq(new))
+                        s, x = (x.s, x.r) if isinstance(x, Coeff) else (1, x)
+                        parts.setdefault(s, [[0] * n for _ in range(n)])[a][b] += x
+    return {s: [[p[min(a, b)][max(a, b)] / nsq for b in range(n)] for a in range(n)]
+            for s, p in parts.items()}
+
+
+def _rational_part(parts: dict) -> SymMatrix:
+    for s, part in parts.items():
+        if s != 1 and part.norm_sq() != 0:
+            raise IrrationalError("moment-map entries with a sqrt(%d) part" % s)
+    return parts[1]
+
+
+def moment_map(v: RepVector) -> SymMatrix:
+    """The moment-map value mm(v): <mm(v), S> = <pi(S)v, v> / |v|^2.
+
+    Raises IrrationalError when an entry is irrational (mixed radicands).
+    """
+    parts = moment_parts(v.backend, v.terms, v.norm_sq())
+    return _rational_part({s: SymMatrix(p) for s, p in parts.items()})
 
 
 def _sym_basis(n: int):
@@ -392,9 +414,8 @@ def sym_sp_basis(m: int) -> list[SymMatrix]:
     """Basis of the symmetric part of sp(2m,R) for the antidiagonal form."""
     n = 2 * m
     jmat = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(m):
-        jmat[i][n - 1 - i] = Fraction(1)
-        jmat[n - 1 - i][i] = Fraction(-1)
+    for i in range(n):
+        jmat[i][n - 1 - i] = Fraction(sp_sign(i, m))
     pairs, embed = _sym_basis(n)
     rows = []
     # Condition S J + J S = 0, entrywise, as linear equations in the S_ij.
@@ -417,10 +438,10 @@ def project_sym_sp(mat: SymMatrix, m: int) -> SymMatrix:
 
     S -> J S J is an isometric involution of sym(2m) whose fixed space is
     {S J + J S = 0}, so the projection is (S + J S J) / 2, with entries
-    (J S J)_ab = -sgn(a) sgn(b) S_{n-1-a, n-1-b}, sgn(i) = +1 for i < m.
+    (J S J)_ab = -sgn(a) sgn(b) S_{n-1-a, n-1-b}, sgn = ``lattice.sp_sign``.
     """
     n = 2 * m
-    sgn = [1 if i < m else -1 for i in range(n)]
+    sgn = [sp_sign(i, m) for i in range(n)]
     s = mat.rows
     return SymMatrix([[(s[a][b] - sgn[a] * sgn[b] * s[n - 1 - a][n - 1 - b]) / 2
                        for b in range(n)] for a in range(n)])
@@ -432,13 +453,15 @@ def moment_map_restricted(v: RepVector, subgroup: str,
 
     subgroup "sl": subtract the trace part.  subgroup "sp": project onto the
     symmetric part of sp(2m,R); requires m with backend dimension n = 2m.
+    Raises IrrationalError only when the projection has an irrational entry.
     """
-    full = moment_map(v)
     if subgroup == "sl":
-        t = full.trace() / full.n
-        return full - SymMatrix.diagonal([t] * full.n)
-    if subgroup == "sp":
+        project = lambda p: p - SymMatrix.diagonal([p.trace() / p.n] * p.n)
+    elif subgroup == "sp":
         if m is None or 2 * m != v.backend.n:
             raise ValueError("sp projection needs m with n = 2m")
-        return project_sym_sp(full, m)
-    raise ValueError("unknown subgroup %r" % subgroup)
+        project = lambda p: project_sym_sp(p, m)
+    else:
+        raise ValueError("unknown subgroup %r" % subgroup)
+    parts = moment_parts(v.backend, v.terms, v.norm_sq())
+    return _rational_part({s: project(SymMatrix(p)) for s, p in parts.items()})

@@ -114,6 +114,25 @@ def test_bad_terms_are_one_line_errors(runner, tmp_path, command, name):
     assert len(res.output.splitlines()) == 1
 
 
+ZERO_TERMS = {
+    "form": [{"exponents": [1, 3, 0], "coeff": "1"},
+             {"exponents": [1, 3, 0], "coeff": "-1"}],
+    "bracket": [{"i": 1, "j": 2, "k": 3, "coeff": "1"},
+                {"i": 2, "j": 1, "k": 3, "coeff": "1"}],
+}
+
+
+@pytest.mark.parametrize("command", ["check", "minimize"])
+@pytest.mark.parametrize("name", sorted(ZERO_TERMS))
+def test_terms_cancelling_to_zero_are_one_line_errors(runner, tmp_path, command, name):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(ZERO_TERMS[name]))
+    res = runner.invoke(main, [command, "--input", str(path)])
+    assert res.exit_code == 1
+    assert res.output.startswith("Error: the terms in")
+    assert len(res.output.splitlines()) == 1
+
+
 def test_minimize_round_trip(runner, tmp_path):
     path = tmp_path / "mu.json"
     path.write_text(json.dumps([
@@ -176,6 +195,37 @@ def test_table2_row_filter(runner):
     assert payload["rows"][0]["derivation_multiple"] == "1/4"
     res = runner.invoke(main, ["table2", "--row", "nonexistent"])
     assert res.exit_code != 0
+
+
+def _fixture_row(name, terms):
+    return {"rows": [{"name": name, "beta_norm_sq": "1", "derivation_diag": [1] * 6,
+                      "dim_aut": 6, "instances": [{"label": name, "terms": [
+                          {"i": i, "j": j, "k": k, "sq": sq, "sign": 1}
+                          for i, j, k, sq in terms]}]}]}
+
+
+FAILING_ROWS = {
+    "not_a_nilpotent_bracket": [(1, 2, 3, "1"), (1, 3, 2, "1")],
+    "not_nice": [(1, 2, 5, "1"), (1, 3, 5, "1")],
+    "mixed_radicands": [(1, 2, 5, "2"), (1, 3, 5, "3"), (2, 3, 6, "5")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_ROWS))
+def test_table2_failing_fixture_rows_are_json(runner, tmp_path, name):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(_fixture_row(name, FAILING_ROWS[name])))
+    res = runner.invoke(main, ["table2", "--fixtures", str(path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    lines = res.output.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    (row,) = payload["rows"]
+    assert not payload["passed"] and not row["passed"] and row["mismatches"]
+    if name == "not_a_nilpotent_bracket":
+        assert row["mismatches"][0].startswith("('validate'")
+    else:
+        assert row["mm_sp"] is row["derivation"] is row["beta_norm_sq"] is None
 
 
 def test_table2_row_verifies_only_that_row(runner, monkeypatch):

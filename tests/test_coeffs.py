@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitforge.coeffs import Coeff, _square_free_split
+from orbitforge.coeffs import Coeff, IrrationalError, _square_free_split
 
 
 def test_square_free_split():
@@ -52,6 +52,14 @@ def test_multiplication_folds_radicands():
 def test_irrational_guard():
     with pytest.raises(ValueError):
         Coeff(1, 2).rational()
+
+
+def test_irrational_results_raise_the_typed_error():
+    assert issubclass(IrrationalError, ValueError)
+    with pytest.raises(IrrationalError):
+        Coeff(1, 2).rational()
+    with pytest.raises(IrrationalError):
+        Coeff(1, 2) + Coeff(1, 3)
 
 
 def test_equality_and_hash():

@@ -126,3 +126,12 @@ def test_scale_by_diag_matches_group_scale():
     fv = scale_by_diag(x, v)
     for idx, c in exact.terms.items():
         assert fv.terms[idx] == pytest.approx(float(c), rel=1e-12)
+
+
+def test_newton_takes_full_steps_below_float_noise():
+    # Armijo backtracking cannot see a phi decrease below float noise; this
+    # form used to stall there at residual 1e-8.
+    v = RepVector.poly(3, 6, [((5, 0, 1), Fraction(1, 3)), ((2, 4, 0), Fraction(3, 4)),
+                              ((0, 4, 2), 2), ((1, 2, 3), Fraction(-5, 4))])
+    res = solve_moment_equation(v, (-2, -2, -2))
+    assert res.residual <= 1e-12

@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
-from orbitforge.lattice import gl_roots, sp_diag_roots
-from orbitforge.nicecrit import (critical_coefficients, gram, is_distinguished,
-                                 is_nice, positive_solution, stratum_label)
+from orbitforge import _exact
+from orbitforge.lattice import gl_roots, project_to_sp_diag, sp_diag_roots
+from orbitforge.nicecrit import (_root_space, critical_coefficients, gram,
+                                 is_distinguished, is_nice, positive_solution,
+                                 stratum_label)
 from orbitforge.ratgeom import PointSet, Vec, in_relative_interior, mcc
 from orbitforge.reps import (PolyBackend, RepVector, apply_elementary,
                              support_projected)
@@ -152,3 +155,31 @@ def test_critical_coefficients_empty():
     norms = [backend.basis_norm_sq((4, 0, 0)), backend.basis_norm_sq((0, 4, 0))]
     assert critical_coefficients(weights, norms, Vec([-4, 0, 0]) * Fraction(1, 4)
                                  + Vec([0, -4, 0]) * Fraction(0)) is None
+
+
+def test_sp_root_space_closed_form_spans_the_symplectic_solutions():
+    # Against the linear system M^T J + J M = 0 on the matrices supported on
+    # the gl positions (a, b) whose projected root is gamma.
+    for m in range(1, 5):
+        n = 2 * m
+        jmat = [[0] * n for _ in range(n)]
+        for i in range(m):
+            jmat[i][n - 1 - i], jmat[n - 1 - i][i] = 1, -1
+        roots = sp_diag_roots(m)
+        for gamma in roots.roots:
+            positions = [(a, b) for a, b in permutations(range(n), 2)
+                         if project_to_sp_diag([int(t == a) - int(t == b)
+                                                for t in range(n)], m) == gamma]
+            system = [[int(r == q) * jmat[p][c] + jmat[r][p] * int(c == q)
+                       for (p, q) in positions] for r in range(n) for c in range(n)]
+            nullity = len(positions) - _exact.rank(system)
+            gens = _root_space(roots, gamma)
+            assert len(gens) == nullity > 0
+            assert _exact.rank([[x for row in g for x in row] for g in gens]) == nullity
+            for g in gens:
+                support = {(a, b) for a in range(n) for b in range(n) if g[a][b]}
+                assert support <= set(positions)
+                for r in range(n):
+                    for c in range(n):
+                        assert sum(g[k][r] * jmat[k][c] + jmat[r][k] * g[k][c]
+                                   for k in range(n)) == 0

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from orbitforge.coeffs import Coeff
+from orbitforge.coeffs import Coeff, IrrationalError
 from orbitforge.nilgeom import (LieBracket, NotDistinguishedError,
                                 ValidationError, bracket_from_fixture_terms,
                                 find_minimal_metric, load_table2_fixture,
                                 ricci, run_table2, sym_derivation_dim,
                                 validate, verify_minimal)
 from orbitforge.ratgeom import Vec
-from orbitforge.reps import RepVector, SymMatrix, group_scale, moment_map
+from orbitforge.reps import (RepVector, SymMatrix, group_scale, moment_map,
+                             moment_map_restricted)
 
 
 def _double_heisenberg() -> LieBracket:
@@ -132,3 +133,28 @@ def test_run_table2_single_rows():
     assert by_label["25."].passed
     r24a = by_label["24.(a)"]
     assert r24a.passed and r24a.report.multiple == Fraction(1, 4)
+
+
+def _sq(square, sign=1):
+    return Coeff.from_square(Fraction(square), sign)
+
+
+def test_mixed_radicands_are_not_nice_not_a_crash():
+    # sqrt2 e12->e5 + sqrt3 e13->e5 + sqrt5 e23->e6: mm_sp has a sqrt(6) entry.
+    mu = LieBracket.from_terms(6, [((0, 1, 4), _sq(2)), ((0, 2, 4), _sq(3)),
+                                   ((1, 2, 5), _sq(5))])
+    rep = verify_minimal(mu)
+    assert not rep.nice and rep.mm_sp is None and rep.derivation is None
+    for irrational in (lambda: moment_map(mu.vector), lambda: ricci(mu),
+                       lambda: moment_map_restricted(mu.vector, "sp", 3)):
+        with pytest.raises(IrrationalError):
+            irrational()
+
+
+def test_moment_map_radicand_parts_cancel_under_projection():
+    # The full mm has a sqrt(2) entry; the sp projection removes it.
+    v = RepVector.bracket(6, [((0, 5, 0), _sq(2, -1)), ((0, 4, 1), _sq(2)),
+                              ((0, 5, 1), -1)])
+    with pytest.raises(IrrationalError):
+        moment_map(v)
+    assert moment_map_restricted(v, "sp", 3).is_diagonal()
