@@ -256,7 +256,14 @@ def table1(fmt):
               type=click.Choice(["json", "csv", "markdown"]), show_default=True)
 def table2(fixtures, row, fmt):
     """Re-verify the six-dimensional minimal-metric table."""
-    reports = run_table2(fixtures, row=row)
+    try:
+        reports = run_table2(fixtures, row=row)
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        # A malformed --fixtures file is bad input; the shipped table is not.
+        if fixtures is None:
+            raise
+        raise click.ClickException("bad fixture file %s: %s: %s"
+                                   % (fixtures, type(exc).__name__, exc))
     if row is not None and not reports:
         raise click.UsageError("no row matches %r" % row)
     # A non-nice row has no diagonal mm_sp, derivation or beta: null.
@@ -285,9 +292,7 @@ def table2(fixtures, row, fmt):
 
 @main.command()
 @click.option("--input", "path", required=True, type=click.Path(exists=True))
-@click.option("--omega", default="cn", show_default=True,
-              type=click.Choice(["cn"]))
-def minimize(path, omega):
+def minimize(path):
     """Minimal compatible metric for a symplectic nilpotent bracket."""
     v = _load_vector(path)
     if v.backend.kind != "bracket":

@@ -6,9 +6,11 @@ mm_a(exp(X).w) = beta is the gradient of the strictly convex function
 
     phi(X) = log sum_i c_i e^{2<X, alpha_i>} - 2<beta, X>,
 
-so Newton's method with backtracking converges globally.  The direction set
-along which phi is flat (all weights move together) is computed exactly and
-removed before iterating.
+so Newton's method with backtracking converges globally.  phi is flat
+orthogonally to the weight differences alpha_i - alpha_0, so X is searched on
+their span, whose basis is computed exactly and orthonormalized in binary64.
+Everything runs on plain Python floats: the search space has at most n - 1
+dimensions, and a small Cholesky factorization solves each Newton system.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, log
 
-import numpy as np
-
 from . import _exact
 from .lattice import project_to_sp_diag
-from .ratgeom import PointSet, Vec
-from .reps import RepVector, apply_terms, moment_parts
+from .ratgeom import Vec, in_relative_interior, mcc
+from .reps import (RepVector, apply_terms, moment_parts, support,
+                   support_projected)
 
 ARMIJO = 1e-4
 NEWTON_TOL = 1e-12
@@ -83,18 +84,42 @@ def is_critical(v: FloatVector, tol: float = CRITICAL_TOL):
     return residual.norm_sq() ** 0.5 <= tol * nsq ** 0.5, lam
 
 
-def _diag_subspace_basis(n: int, subgroup: str):
-    if subgroup in ("gl", "sl"):
-        return [Vec([1 if i == j else 0 for j in range(n)]) for i in range(n)]
-    if subgroup == "sp":
-        m = n // 2
-        out = []
-        for i in range(m):
-            entries = [0] * n
-            entries[i], entries[n - 1 - i] = 1, -1
-            out.append(Vec(entries))
-        return out
-    raise ValueError("unknown subgroup %r" % subgroup)
+def _dot(u, v) -> float:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _orthonormal_rows(rows) -> list:
+    """Gram-Schmidt on linearly independent rows, in binary64."""
+    out = []
+    for row in rows:
+        v = [float(t) for t in row]
+        for q in out:
+            d = _dot(q, v)
+            v = [a - d * b for a, b in zip(v, q)]
+        norm = _dot(v, v) ** 0.5
+        out.append([a / norm for a in v])
+    return out
+
+
+def _cholesky_solve(h, rhs):
+    """Solution of h s = rhs via h = L L^T, or None if a pivot is not positive."""
+    k = len(rhs)
+    low = [[0.0] * k for _ in range(k)]
+    for j in range(k):
+        pivot = h[j][j] - _dot(low[j], low[j])
+        if pivot <= 0.0:
+            return None
+        low[j][j] = pivot ** 0.5
+        for i in range(j + 1, k):
+            low[i][j] = (h[i][j] - _dot(low[i], low[j])) / low[j][j]
+    # Forward substitution L y = rhs, then back substitution L^T s = y.
+    y = []
+    for i in range(k):
+        y.append((rhs[i] - _dot(low[i], y)) / low[i][i])
+    s = [0.0] * k
+    for i in reversed(range(k)):
+        s[i] = (y[i] - _dot([row[i] for row in low], s)) / low[i][i]
+    return s
 
 
 @dataclass
@@ -102,16 +127,16 @@ class NewtonResult:
     x: tuple                 # diagonal element, length-n floats
     residual: float          # |sum p_i alpha_i - beta| at the solution
     iterations: int
-    hessian_psd_ok: bool
+    hessian_psd_ok: bool     # False if a Cholesky pivot failed (gradient step taken)
     subspace: tuple          # orthonormal rows spanning the non-degenerate directions
 
-    def project_to_subspace(self, y):
+    def project_to_subspace(self, y) -> Vec:
         """Component of a diagonal vector y in the solver's search space."""
-        b = np.array(self.subspace, dtype=float)
-        yv = np.array([float(t) for t in y])
-        if b.size == 0:
-            return np.zeros_like(yv)
-        return b.T @ (b @ yv)
+        out = [0.0] * len(y)
+        for q in self.subspace:
+            d = _dot(q, (float(t) for t in y))
+            out = [a + d * b for a, b in zip(out, q)]
+        return Vec(out)
 
 
 def solve_moment_equation(w: RepVector, beta, subgroup: str = "gl",
@@ -120,12 +145,11 @@ def solve_moment_equation(w: RepVector, beta, subgroup: str = "gl",
 
     ``beta`` must be mcc of the (projected) support and lie in the relative
     interior of its hull; otherwise no solution exists and a ValueError is
-    raised.  Weights, masses and the degeneracy directions are prepared
-    exactly; only the Newton iteration itself runs in binary64.
+    raised.  Weights, masses and the search space are prepared exactly; only
+    the Newton iteration itself runs in binary64.
     """
-    from .ratgeom import in_relative_interior, mcc
-    from .reps import support, support_projected
-
+    if subgroup not in ("gl", "sl", "sp"):
+        raise ValueError("unknown subgroup %r" % subgroup)
     n = w.backend.n
     beta = Vec(beta)
     if subgroup == "sp":
@@ -145,85 +169,61 @@ def solve_moment_equation(w: RepVector, beta, subgroup: str = "gl",
         masses[alpha] = masses.get(alpha, Fraction(0)) + \
             c.square() * w.backend.basis_norm_sq(idx)
     alphas = sorted(masses)
-    c0 = np.array([float(masses[a]) for a in alphas])
-    c0 /= c0.sum()
+    c0 = [float(masses[a]) for a in alphas]
 
-    bas = _diag_subspace_basis(n, subgroup)
-    bmat = np.array([[float(t) for t in b] for b in bas])
-    afull = np.array([[float(t) for t in al] for al in alphas])
-    bfull = np.array([float(t) for t in beta])
-    # X = sum_k u_k b_k; the pairing <X, alpha_i> becomes amat @ u.
-    amat = afull @ bmat.T
+    # phi is flat orthogonally to the weight differences alpha_i - alpha_0
+    # (sp-diagonal for sp), so X = sum_k z_k q_k over an orthonormal basis q
+    # of their span; sum p_i alpha_i - beta lies there too, so |gap| is the
+    # residual.  <X, alpha_i> = z . coords[i] and <X, beta> = z . target.
+    echelon, pivots = _exact.rref([al - alphas[0] for al in alphas[1:]])
+    basis = _orthonormal_rows(echelon[:len(pivots)])
+    coords = [[_dot(q, (float(t) for t in al)) for q in basis] for al in alphas]
+    target = [_dot(q, (float(t) for t in beta)) for q in basis]
+    k = len(basis)
 
-    # phi is flat exactly along ker of the weight-difference matrix; Newton
-    # runs on the row space (computed exactly, orthonormalized in float).
-    a0 = alphas[0]
-    drows = [[(al - a0).dot(b) for b in bas] for al in alphas[1:]]
-    rank = _exact.rank(drows) if drows else 0
-    if rank > 0:
-        dm = np.array([[float(x) for x in row] for row in drows])
-        _, _, vt = np.linalg.svd(dm)
-        search = vt[:rank]
-    else:
-        search = np.zeros((0, len(bas)))
+    def state(z):
+        expo = [2.0 * _dot(a, z) for a in coords]
+        shift = max(expo)
+        ws = [c * exp(e - shift) for c, e in zip(c0, expo)]
+        total = sum(ws)
+        return [wt / total for wt in ws], log(total) + shift - 2.0 * _dot(target, z)
 
-    z = np.zeros(search.shape[0])
-    psd_ok = True
+    def moments(p):
+        mean = [sum(pi * a[r] for pi, a in zip(p, coords)) for r in range(k)]
+        gap = [m - b for m, b in zip(mean, target)]
+        return mean, gap, _dot(gap, gap) ** 0.5
 
-    def state(zv):
-        u = search.T @ zv
-        expo = 2.0 * (amat @ u)
-        shift = expo.max()
-        ws = c0 * np.exp(expo - shift)
-        total = ws.sum()
-        p = ws / total
-        phi = log(total) + shift - 2.0 * float((bfull @ bmat.T) @ u)
-        return p, phi
-
-    def residual_of(p):
-        return float(np.linalg.norm(p @ afull - bfull))
-
+    z = [0.0] * k
     p, phi = state(z)
-    res = residual_of(p)
+    mean, gap, res = moments(p)
+    psd_ok = True
     iters = 0
     while res > NEWTON_TOL and iters < max_iters:
-        grad_u = 2.0 * (amat.T @ p - bmat @ bfull)
-        grad = search @ grad_u
-        second = amat.T @ (p[:, None] * amat)
-        mean = amat.T @ p
-        hess = search @ (4.0 * (second - np.outer(mean, mean))) @ search.T
-        if hess.size:
-            eigs = np.linalg.eigvalsh(0.5 * (hess + hess.T))
-            if eigs.min() < -1e-9 * max(1.0, abs(eigs.max())):
-                psd_ok = False
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        # Once -grad @ step (the squared Newton decrement, twice the predicted
+        grad = [2.0 * g for g in gap]
+        hess = [[4.0 * (sum(pi * a[r] * a[s] for pi, a in zip(p, coords))
+                        - mean[r] * mean[s]) for s in range(k)] for r in range(k)]
+        step = _cholesky_solve(hess, [-g for g in grad])
+        if step is None:
+            psd_ok = False
+            step = [-g for g in grad]
+        # Once -grad . step (the squared Newton decrement, twice the predicted
         # phi decrease) is below float noise, backtracking cannot see a
         # decrease and would stall; take the full step there.
+        slope = _dot(grad, step)
         t = 1.0
-        if -float(grad @ step) > 1e-12:
-            while True:
-                p_new, phi_new = state(z + t * step)
-                if phi_new <= phi + ARMIJO * t * float(grad @ step) or t < 1e-14:
-                    break
-                t *= 0.5
-        else:
-            p_new, phi_new = state(z + step)
-        z = z + t * step
-        p, phi = p_new, phi_new
-        res = residual_of(p)
+        while True:
+            trial = [a + t * b for a, b in zip(z, step)]
+            p_new, phi_new = state(trial)
+            if (-slope <= 1e-12 or t < 1e-14
+                    or phi_new <= phi + ARMIJO * t * slope):
+                break
+            t *= 0.5
+        z, p, phi = trial, p_new, phi_new
+        mean, gap, res = moments(p)
         iters += 1
 
-    x_full = bmat.T @ (search.T @ z)
-    subspace_rows = []
-    for row in search:
-        xr = bmat.T @ row
-        subspace_rows.append(tuple(xr / np.linalg.norm(xr)))
-    return NewtonResult(tuple(float(t) for t in x_full), res, iters, psd_ok,
-                        tuple(subspace_rows))
+    x = [sum((zk * q[i] for zk, q in zip(z, basis)), 0.0) for i in range(n)]
+    return NewtonResult(tuple(x), res, iters, psd_ok, tuple(tuple(q) for q in basis))
 
 
 def scale_by_diag(x, v) -> FloatVector:

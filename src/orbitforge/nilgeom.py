@@ -24,8 +24,8 @@ from typing import Optional
 
 from . import _exact
 from .coeffs import Coeff, IrrationalError
-from .lattice import sp_diag_roots, sp_sign
-from .nicecrit import Verdict, critical_coefficients, is_distinguished
+from .lattice import project_to_sp_diag, sp_diag_roots, sp_sign
+from .nicecrit import Verdict, is_distinguished
 from .ratgeom import PointSet, Vec, mcc
 from .reps import (RepVector, SymMatrix, apply_matrix, moment_map_restricted,
                    support_projected)
@@ -229,7 +229,8 @@ def verify_minimal(mu: LieBracket, reference_derivation=None) -> MinimalReport:
     Computes mm_sp(mu), compares with mcc of the projected support, and
     reports D = mm_sp + |beta|^2 Id together with the exact derivation check.
     ``reference_derivation`` (diagonal entries) is compared up to a positive
-    rational multiple.
+    rational multiple.  Raises ValueError for odd dimension or the zero
+    bracket.
     """
     m = mu.n // 2
     if 2 * m != mu.n:
@@ -279,13 +280,19 @@ def find_minimal_metric(mu: LieBracket) -> MinimalMetricResult:
     """Diagonal change of basis carrying mu to a minimal-metric critical point.
 
     Requires the sp-projected weight set of mu to be nice with a distinguished
-    orbit; raises NotDistinguishedError (carrying the verdict) otherwise.
-    Returns the Newton solution X of mm_sp(exp(X).mu) = beta together with the
-    exact critical bracket obtained by redistributing the weight-class masses.
+    orbit; raises NotDistinguishedError (carrying the verdict) otherwise, and
+    ValueError for odd dimension or the zero bracket.  Returns the Newton
+    solution X of mm_sp(exp(X).mu) = beta together with the exact critical
+    bracket obtained by redistributing the weight-class masses onto the
+    verdict's interior certificate.
     """
     from .flow import solve_moment_equation
 
     m = mu.n // 2
+    if 2 * m != mu.n:
+        raise ValueError("a minimal compatible metric needs even dimension")
+    if mu.vector.is_zero():
+        raise ValueError("the zero bracket has no minimal metric")
     weights = support_projected(mu.vector, m)
     verdict = is_distinguished(weights, mu.vector.backend, sp_diag_roots(m))
     if verdict.outcome != "distinguished":
@@ -293,14 +300,13 @@ def find_minimal_metric(mu: LieBracket) -> MinimalMetricResult:
     beta = verdict.beta
     result = solve_moment_equation(mu.vector, beta, subgroup="sp")
 
-    family = critical_coefficients(weights, [1] * len(weights), beta)
-    target = dict(zip(weights, family.particular))
+    # The certificate is a critical mass distribution: positive masses on
+    # the weights, summing to 1, with barycentre beta.
+    target = dict(zip(weights, verdict.certificate))
     class_mass: dict = {}
     proj = {}
     for idx, c in mu.vector.terms.items():
-        w = mu.vector.backend.weight(idx)
-        from .lattice import project_to_sp_diag
-        pw = project_to_sp_diag(w, m)
+        pw = project_to_sp_diag(mu.vector.backend.weight(idx), m)
         proj[idx] = pw
         class_mass[pw] = class_mass.get(pw, Fraction(0)) + \
             c.square() * mu.vector.backend.basis_norm_sq(idx)

@@ -228,6 +228,34 @@ def test_table2_failing_fixture_rows_are_json(runner, tmp_path, name):
         assert row["mm_sp"] is row["derivation"] is row["beta_norm_sq"] is None
 
 
+BAD_FIXTURES = {
+    "not_json": '{"rows": [',
+    "not_a_table": "[1,2]",
+    "row_without_beta_norm_sq": json.dumps(
+        {"rows": [{"name": "x", "derivation_diag": [1] * 6, "dim_aut": 6,
+                   "instances": [{"label": "x", "terms": [
+                       {"i": 1, "j": 2, "k": 5, "sq": "1", "sign": 1}]}]}]}),
+    "zero_bracket": json.dumps(_fixture_row("x", [])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FIXTURES))
+def test_table2_bad_fixture_files_are_one_line_errors(runner, tmp_path, name):
+    path = tmp_path / "fixtures.json"
+    path.write_text(BAD_FIXTURES[name])
+    res = runner.invoke(main, ["table2", "--fixtures", str(path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    lines = res.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: bad fixture file")
+
+
+def test_minimize_has_no_omega_option(runner, tmp_path):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps([{"i": 1, "j": 4, "k": 6, "coeff": "1"}]))
+    res = runner.invoke(main, ["minimize", "--input", str(path), "--omega", "cn"])
+    assert res.exit_code == 2 and "--omega" in res.output
+
+
 def test_table2_row_verifies_only_that_row(runner, monkeypatch):
     calls = []
     original = nilgeom._verify_instance

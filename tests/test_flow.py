@@ -1,14 +1,20 @@
 """Float solvers: Newton for the moment equation, convexity, gradient flow."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import log
 
 import pytest
 
+import orbitforge
 from orbitforge.flow import (FloatVector, gradient_flow, is_critical,
                              moment_map_float, scale_by_diag,
                              solve_moment_equation)
+from orbitforge.lattice import gl_roots
+from orbitforge.nicecrit import is_distinguished
 from orbitforge.ratgeom import PointSet, Vec, in_relative_interior
 from orbitforge.reps import RepVector, group_scale, moment_map, support
 
@@ -135,3 +141,48 @@ def test_newton_takes_full_steps_below_float_noise():
                               ((0, 4, 2), 2), ((1, 2, 3), Fraction(-5, 4))])
     res = solve_moment_equation(v, (-2, -2, -2))
     assert res.residual <= 1e-12
+
+
+def _random_form(rng):
+    d = rng.randint(4, 6)
+    monomials = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    return RepVector.poly(3, d, [
+        (e, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)))
+        for e in rng.sample(monomials, rng.randint(2, 6))])
+
+
+def test_newton_converges_on_random_distinguished_forms():
+    rng = random.Random(2027)
+    solved = 0
+    while solved < 60:
+        v = _random_form(rng)
+        verdict = is_distinguished(support(v), v.backend, gl_roots(3))
+        if verdict.outcome != "distinguished":
+            continue
+        res = solve_moment_equation(v, verdict.beta)
+        assert res.residual <= 1e-12 and res.hessian_psd_ok, (v, res)
+        # The search space is an orthonormal basis of the weight differences.
+        rows = res.subspace
+        for r in range(len(rows)):
+            for s in range(len(rows)):
+                dot = sum(a * b for a, b in zip(rows[r], rows[s]))
+                assert abs(dot - (r == s)) <= 1e-12
+        a0 = support(v)[0]
+        for alpha in support(v):
+            diff = [float(t) for t in alpha - a0]
+            proj = res.project_to_subspace(diff)
+            assert max(abs(float(p) - d) for p, d in zip(proj, diff)) <= 1e-12
+        solved += 1
+
+
+def test_newton_loads_no_numpy():
+    probe = ("import sys, orbitforge.flow; "
+             "from orbitforge.nilgeom import LieBracket, find_minimal_metric; "
+             "find_minimal_metric(LieBracket.from_terms(6, [((0, 3, 5), 1), ((1, 2, 4), 1)])); "
+             "print('numpy' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(orbitforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

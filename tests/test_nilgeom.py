@@ -93,6 +93,28 @@ def test_find_minimal_metric_exact_rescale():
     assert res.beta == Vec([-h, -h, 0, 0, h, h])
 
 
+def test_find_minimal_metric_reaches_beta_on_table_supports():
+    # Unit coefficients on each shipped support are not critical; the exact
+    # bracket built from the certificate masses must be.  The supports of
+    # 18.(b_t) and 18.(c) are not nice by the weight criterion.
+    solved = 0
+    for row in load_table2_fixture()["rows"]:
+        for inst in row["instances"]:
+            mu = bracket_from_fixture_terms(inst["terms"])
+            start = LieBracket(RepVector(mu.vector.backend,
+                                         [(idx, 1) for idx in mu.vector.terms]))
+            try:
+                res = find_minimal_metric(start)
+            except NotDistinguishedError as exc:
+                assert exc.verdict.outcome == "not_nice"
+                continue
+            assert res.residual <= 1e-12
+            solved += 1
+            mm_sp = moment_map_restricted(res.critical_bracket, "sp", 3)
+            assert mm_sp.is_diagonal() and mm_sp.diag() == res.beta, inst["label"]
+    assert solved == 11
+
+
 def test_find_minimal_metric_not_nice():
     bad = LieBracket.from_terms(6, [((0, 1, 5), 1), ((2, 3, 4), 1)])
     with pytest.raises(NotDistinguishedError) as err:
