@@ -2,27 +2,40 @@
 
 Subcommands: strata, check, classify, table1, table2, minimize.  Exact
 rationals cross the process boundary as "p/q" strings; floats are printed
-with 17 significant digits.  Findings (not distinguished, empty stratum) are
-data with exit code 0; table regressions exit nonzero on any mismatch.
+with 17 significant digits.
+
+Exit codes:
+
+* 0 -- the command answered.  Findings are data: ``not_nice``,
+  ``not_distinguished`` and empty strata exit 0.
+* 1 -- a bad input file (a one-line ``Error:`` on stderr, or the
+  ``invalid_bracket`` JSON of ``minimize``), or a table regression with a
+  mismatch.
+* 2 -- a usage error: an unknown option, a bad option value, or options that
+  do not fit together or with the input.
+
+The parser needs only the standard library.  Each subcommand imports the
+modules it runs inside its body: ``strata``, ``classify`` and ``table1`` load
+``ternary``; ``check`` loads ``reps``, ``lattice`` and ``nicecrit``;
+``table2`` and ``minimize`` load ``nilgeom``, which loads ``flow`` only to
+solve for a metric.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
-import click
+class CliError(Exception):
+    """Bad input found by a subcommand: one ``Error:`` line, exit status 1."""
 
-from .coeffs import Coeff
-from .lattice import gl_roots, sl_roots, sp_diag_roots
-from .nicecrit import is_distinguished
-from .nilgeom import (LieBracket, NotDistinguishedError, ValidationError,
-                      find_minimal_metric, run_table2, validate)
-from .ratgeom import Vec
-from .reps import RepVector, support, support_projected
-from .ternary import classify, display_type, stratifying_set, verify_table1
+
+class UsageError(CliError):
+    """Options that do not fit together or with the input: exit status 2."""
 
 
 def frac_str(x) -> str:
@@ -39,37 +52,39 @@ def float_str(x: float) -> str:
 
 
 def emit_json(payload) -> None:
-    click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _parse_coeff(raw) -> Coeff:
+def _parse_coeff(raw):
+    from .coeffs import Coeff
+
     if isinstance(raw, dict):
         sign = int(raw.get("sign", 1))
         return Coeff.from_square(Fraction(raw["sq"]), sign)
     return Coeff(Fraction(raw))
 
 
-def _load_vector(path: str) -> RepVector:
+def _load_vector(path: str):
     try:
         with open(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise click.ClickException(
-            "parse error in %s at line %d column %d: %s"
-            % (path, exc.lineno, exc.colno, exc.msg))
+        raise CliError("parse error in %s at line %d column %d: %s"
+                       % (path, exc.lineno, exc.colno, exc.msg))
     if not isinstance(data, list) or not data:
-        raise click.ClickException("input must be a nonempty list of terms")
+        raise CliError("input must be a nonempty list of terms")
     try:
         v = _vector_from_terms(data)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise click.ClickException("bad term in %s: %s: %s"
-                                   % (path, type(exc).__name__, exc))
+        raise CliError("bad term in %s: %s: %s" % (path, type(exc).__name__, exc))
     if v.is_zero():
-        raise click.ClickException("the terms in %s cancel to the zero vector" % path)
+        raise CliError("the terms in %s cancel to the zero vector" % path)
     return v
 
 
-def _vector_from_terms(data: list) -> RepVector:
+def _vector_from_terms(data: list):
+    from .reps import RepVector
+
     first = data[0]
     if "exponents" in first:
         exps = [tuple(int(e) for e in t["exponents"]) for t in data]
@@ -82,42 +97,30 @@ def _vector_from_terms(data: list) -> RepVector:
         items = [((int(t["i"]) - 1, int(t["j"]) - 1, int(t["k"]) - 1),
                   _parse_coeff(t["coeff"])) for t in data]
         return RepVector.bracket(n, items)
-    raise click.ClickException(
-        "terms must carry either 'exponents' or 'i','j','k'")
+    raise CliError("terms must carry either 'exponents' or 'i','j','k'")
 
 
 def _render_table(rows: list, header: list, fmt: str) -> None:
     if fmt == "csv":
-        click.echo(",".join(header))
+        print(",".join(header))
         for row in rows:
-            click.echo(",".join(str(c) for c in row))
+            print(",".join(str(c) for c in row))
     elif fmt == "markdown":
-        click.echo("| " + " | ".join(header) + " |")
-        click.echo("|" + "|".join(" --- " for _ in header) + "|")
+        print("| " + " | ".join(header) + " |")
+        print("|" + "|".join(" --- " for _ in header) + "|")
         for row in rows:
-            click.echo("| " + " | ".join(str(c) for c in row) + " |")
+            print("| " + " | ".join(str(c) for c in row) + " |")
     else:
         raise ValueError(fmt)
 
 
-@click.group()
-def main():
-    """Distinguished orbits of reductive representations, exactly."""
-
-
-@main.command()
-@click.option("--n", default=3, show_default=True, help="Number of variables.")
-@click.option("--d", required=True, type=int, help="Degree of the forms.")
-@click.option("--format", "fmt", default="json",
-              type=click.Choice(["json", "csv", "markdown"]), show_default=True)
-@click.option("--paper-signs/--no-paper-signs", default=False,
-              help="Present labels with positive entries.")
-@click.option("--svg", type=click.Path(), default=None,
-              help="Also write a weight-triangle drawing (n = 3 only).")
 def strata(n, d, fmt, paper_signs, svg):
     """Stratum labels for forms of degree D in N variables."""
-    if d < 1:
-        raise click.UsageError("degree must be at least 1")
+    if svg is not None and n != 3:
+        raise UsageError("--svg requires --n 3")
+    from .ratgeom import Vec
+    from .ternary import stratifying_set
+
     labels = stratifying_set(d, n)
     shown = [tuple(sorted(-x for x in b)) if paper_signs else tuple(b)
              for b in labels]
@@ -136,10 +139,8 @@ def strata(n, d, fmt, paper_signs, svg):
         rows = [[*vec_strs(b), frac_str(Vec(b).norm_sq())] for b in shown]
         _render_table(rows, ["beta_%d" % i for i in range(n)] + ["norm_sq"], fmt)
         if n != 3:
-            click.echo("# unverified for n != 3", err=True)
+            print("# unverified for n != 3", file=sys.stderr)
     if svg is not None:
-        if n != 3:
-            raise click.UsageError("--svg requires --n 3")
         _write_strata_svg(svg, d, labels)
 
 
@@ -153,7 +154,7 @@ def _write_strata_svg(path: str, d: int, labels) -> None:
         return 60.0 + 400.0 * x / d, 460.0 - 400.0 * y / d
 
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="520" height="520">']
-    tri = [plane(Vec([-d, 0, 0])), plane(Vec([0, -d, 0])), plane(Vec([0, 0, -d]))]
+    tri = [plane((-d, 0, 0)), plane((0, -d, 0)), plane((0, 0, -d))]
     parts.append('<polygon points="%s" fill="none" stroke="black"/>'
                  % " ".join("%.2f,%.2f" % p for p in tri))
     for w in _all_weights(3, d):
@@ -168,18 +169,17 @@ def _write_strata_svg(path: str, d: int, labels) -> None:
         fh.write("\n".join(parts))
 
 
-@main.command()
-@click.option("--input", "path", required=True, type=click.Path(exists=True))
-@click.option("--group", default="gl", show_default=True,
-              type=click.Choice(["gl", "sl", "sp"]))
-@click.option("--paper-signs/--no-paper-signs", default=False)
 def check(path, group, paper_signs):
     """Distinguished-orbit verdict for a form or bracket file."""
+    from .lattice import gl_roots, sl_roots, sp_diag_roots
+    from .nicecrit import is_distinguished
+    from .reps import support, support_projected
+
     v = _load_vector(path)
     n = v.backend.n
     if group == "sp":
         if n % 2:
-            raise click.UsageError("sp requires even dimension")
+            raise UsageError("sp requires even dimension")
         roots = sp_diag_roots(n // 2)
         weights = support_projected(v, n // 2)
     else:
@@ -203,11 +203,10 @@ def check(path, group, paper_signs):
     emit_json(payload)
 
 
-@main.command("classify")
-@click.option("--d", default=4, show_default=True, type=int)
-@click.option("--paper-signs/--no-paper-signs", default=True, show_default=True)
 def classify_cmd(d, paper_signs):
     """Stratum-by-stratum critical coefficient families."""
+    from .ternary import classify, display_type
+
     rows = []
     for s in classify(d):
         beta = display_type(s.beta) if paper_signs else tuple(s.beta)
@@ -225,11 +224,10 @@ def classify_cmd(d, paper_signs):
     emit_json({"command": "classify", "d": d, "strata": rows})
 
 
-@main.command()
-@click.option("--format", "fmt", default="json",
-              type=click.Choice(["json", "csv", "markdown"]), show_default=True)
 def table1(fmt):
     """Recompute the full degree-4 classification and diff it."""
+    from .ternary import verify_table1
+
     reports = verify_table1()
     rows = [{
         "type": [frac_str(x) for x in r.type],
@@ -248,24 +246,20 @@ def table1(fmt):
         sys.exit(1)
 
 
-@main.command()
-@click.option("--fixtures", type=click.Path(exists=True), default=None,
-              help="Alternative fixture file (default: the shipped table).")
-@click.option("--row", default=None, help="Restrict to one row, e.g. 24a.")
-@click.option("--format", "fmt", default="json",
-              type=click.Choice(["json", "csv", "markdown"]), show_default=True)
 def table2(fixtures, row, fmt):
     """Re-verify the six-dimensional minimal-metric table."""
+    from .nilgeom import run_table2
+
     try:
         reports = run_table2(fixtures, row=row)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         # A malformed --fixtures file is bad input; the shipped table is not.
         if fixtures is None:
             raise
-        raise click.ClickException("bad fixture file %s: %s: %s"
-                                   % (fixtures, type(exc).__name__, exc))
+        raise CliError("bad fixture file %s: %s: %s"
+                       % (fixtures, type(exc).__name__, exc))
     if row is not None and not reports:
-        raise click.UsageError("no row matches %r" % row)
+        raise UsageError("no row matches %r" % row)
     # A non-nice row has no diagonal mm_sp, derivation or beta: null.
     rows = [{
         "row": r.label,
@@ -290,13 +284,14 @@ def table2(fixtures, row, fmt):
         sys.exit(1)
 
 
-@main.command()
-@click.option("--input", "path", required=True, type=click.Path(exists=True))
 def minimize(path):
     """Minimal compatible metric for a symplectic nilpotent bracket."""
+    from .nilgeom import (LieBracket, NotDistinguishedError, ValidationError,
+                          find_minimal_metric, validate)
+
     v = _load_vector(path)
     if v.backend.kind != "bracket":
-        raise click.UsageError("minimize expects a bracket input")
+        raise UsageError("minimize expects a bracket input")
     mu = LieBracket(v)
     try:
         validate(mu, two_step=False)
@@ -328,6 +323,106 @@ def minimize(path):
              "coeff": {"sq": frac_str(c.square()), "sign": 1 if c.r > 0 else -1}}
             for (i, j, k), c in res.critical_bracket.sorted_terms()],
     })
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("%r is not a positive integer" % text)
+    return value
+
+
+def _existing_file(text: str) -> str:
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError("no file %r" % text)
+    return text
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="orbitforge", allow_abbrev=False,
+        description="Distinguished orbits of reductive representations, exactly.")
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+
+    def command(run, name):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    def format_option(sub):
+        sub.add_argument("--format", dest="fmt", choices=("json", "csv", "markdown"),
+                         default="json", help="output format (default: %(default)s)")
+
+    def paper_signs_option(sub, default):
+        sub.add_argument("--paper-signs", action=argparse.BooleanOptionalAction,
+                         default=default, help="present labels with positive entries")
+
+    sub = command(strata, "strata")
+    sub.add_argument("--n", type=_positive_int, default=3,
+                     help="number of variables (default: %(default)s)")
+    sub.add_argument("--d", type=_positive_int, required=True,
+                     help="degree of the forms")
+    format_option(sub)
+    paper_signs_option(sub, False)
+    sub.add_argument("--svg", help="also write a weight-triangle drawing (n = 3 only)")
+
+    sub = command(check, "check")
+    sub.add_argument("--input", dest="path", type=_existing_file, required=True,
+                     metavar="FILE", help="JSON list of form or bracket terms")
+    sub.add_argument("--group", choices=("gl", "sl", "sp"), default="gl",
+                     help="acting group (default: %(default)s)")
+    paper_signs_option(sub, False)
+
+    sub = command(classify_cmd, "classify")
+    sub.add_argument("--d", type=_positive_int, default=4,
+                     help="degree of the ternary forms (default: %(default)s)")
+    paper_signs_option(sub, True)
+
+    format_option(command(table1, "table1"))
+
+    sub = command(table2, "table2")
+    sub.add_argument("--fixtures", type=_existing_file, default=None, metavar="FILE",
+                     help="alternative fixture file (default: the shipped table)")
+    sub.add_argument("--row", default=None, help="restrict to one row, e.g. 24a")
+    format_option(sub)
+
+    sub = command(minimize, "minimize")
+    sub.add_argument("--input", dest="path", type=_existing_file, required=True,
+                     metavar="FILE", help="JSON list of bracket terms")
+    return parser
+
+
+def main(args=None, standalone_mode: bool = True) -> None:
+    """Run one subcommand on ``args`` (default: ``sys.argv[1:]``).
+
+    A parsing error exits with status 2.  In standalone mode a ``CliError``
+    from the subcommand is printed and exits with status 1, or 2 for a
+    ``UsageError``, and a reader closing stdout early (``| head``) exits
+    with status 1; with ``standalone_mode=False`` both propagate instead.
+    """
+    opts = vars(_parser().parse_args(args))
+    run, parser = opts.pop("run"), opts.pop("parser")
+    try:
+        run(**opts)
+        sys.stdout.flush()
+    except CliError as exc:
+        if not standalone_mode:
+            raise
+        if isinstance(exc, UsageError):
+            parser.error(str(exc))
+        print("Error: %s" % exc, file=sys.stderr)
+        sys.exit(1)
+    except BrokenPipeError:
+        if not standalone_mode:
+            raise
+        # Point stdout at devnull so the interpreter's final flush cannot
+        # fail on the closed pipe a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

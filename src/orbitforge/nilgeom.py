@@ -364,13 +364,31 @@ class TableRowReport:
     mismatches: tuple
 
 
+_ROW_KEYS = {"name", "instances", "beta_norm_sq", "derivation_diag", "dim_aut"}
+
+
 def load_table2_fixture(path: Optional[str] = None) -> dict:
+    """The shipped table, or the fixture file at ``path``, checked for shape.
+
+    Raises ValueError unless the file is an object with a ``rows`` list whose
+    rows are objects with a string ``name``, an ``instances`` list,
+    ``beta_norm_sq``, ``derivation_diag`` and ``dim_aut``.
+    """
     if path is None:
         text = resources.files("orbitforge.data").joinpath("table2.json").read_text()
     else:
         with open(path) as fh:
             text = fh.read()
-    return json.loads(text)
+    fixture = json.loads(text)
+    if not isinstance(fixture, dict) or not isinstance(fixture.get("rows"), list):
+        raise ValueError("the table must be an object with a 'rows' list")
+    for i, row in enumerate(fixture["rows"]):
+        if not (isinstance(row, dict) and _ROW_KEYS <= row.keys()
+                and isinstance(row["name"], str) and isinstance(row["instances"], list)):
+            raise ValueError("row %d must be an object with a string 'name', an "
+                             "'instances' list, 'beta_norm_sq', 'derivation_diag' "
+                             "and 'dim_aut'" % i)
+    return fixture
 
 
 def bracket_from_fixture_terms(terms, n: int = 6) -> LieBracket:

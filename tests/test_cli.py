@@ -1,21 +1,50 @@
 """Command-line interface: shapes, determinism, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 import orbitforge
 from orbitforge import nilgeom
-from orbitforge.cli import main
+from orbitforge.cli import CliError, main
+
+
+class _Runner:
+    """Runs a CLI entry point in process and captures what it writes.
+
+    ``output`` is stdout followed by stderr; ``exception`` is the
+    ``SystemExit`` of a nonzero exit, or the exception that escaped when
+    ``catch_exceptions`` is true (exit code 1).
+    """
+
+    def invoke(self, cli, args, catch_exceptions=True):
+        out, err = io.StringIO(), io.StringIO()
+        exit_code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli(args)
+            except SystemExit as exc:
+                code = exc.code
+                exit_code = code if isinstance(code, int) else (code is not None)
+                exception = exc if exit_code else None
+            except Exception as exc:
+                if not catch_exceptions:
+                    raise
+                exit_code, exception = 1, exc
+        return SimpleNamespace(exit_code=int(exit_code), exception=exception,
+                               stdout=out.getvalue(), stderr=err.getvalue(),
+                               output=out.getvalue() + err.getvalue())
 
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return _Runner()
 
 
 def _invoke(runner, args):
@@ -285,3 +314,88 @@ def test_table1_passes(runner):
     res = _invoke(runner, ["table1"])
     assert res.exit_code == 0
     assert json.loads(res.output)["passed"]
+
+
+@pytest.mark.parametrize("args", [["strata", "--n", "0", "--d", "2"],
+                                  ["strata", "--n", "-1", "--d", "2"],
+                                  ["classify", "--d", "0"],
+                                  ["classify", "--d", "-1"]])
+def test_bad_degree_or_size_is_a_usage_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stdout == "" and "Traceback" not in res.output
+    assert "is not a positive integer" in res.stderr
+
+
+def test_strata_svg_off_n3_fails_before_any_output(runner, tmp_path):
+    svg = tmp_path / "x.svg"
+    res = runner.invoke(main, ["strata", "--d", "2", "--n", "4", "--svg", str(svg)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "--svg requires --n 3" in res.stderr
+    assert not svg.exists()
+
+
+def test_table2_fixture_row_name_must_be_a_string(runner, tmp_path):
+    path = tmp_path / "fixtures.json"
+    fixture = _fixture_row("x", [(1, 2, 5, "1")])
+    fixture["rows"][0]["name"] = 5
+    path.write_text(json.dumps(fixture))
+    res = runner.invoke(main, ["table2", "--fixtures", str(path), "--row", "5"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    lines = res.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: bad fixture file")
+    assert "string 'name'" in lines[0]
+
+
+def _run_probe(args):
+    """Modules loaded by one CLI call in a fresh interpreter."""
+    probe = ("import json, sys\n"
+             "from orbitforge.cli import main\n"
+             "main(%r)\n"
+             "print(json.dumps(sorted(sys.modules)))" % (args,))
+    src = os.path.dirname(os.path.dirname(orbitforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env)
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_each_subcommand_imports_only_its_modules(tmp_path):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps([{"i": 1, "j": 4, "k": 6, "coeff": "1"},
+                                {"i": 2, "j": 3, "k": 5, "coeff": "1"}]))
+    # (arguments, a module the command runs, modules it must leave unloaded)
+    cases = [
+        (["strata", "--d", "2"], "ternary", ("nilgeom", "flow")),
+        (["check", "--input", str(path), "--group", "sp"], "nicecrit",
+         ("ternary", "nilgeom", "flow")),
+        (["table2", "--row", "16a"], "nilgeom", ("ternary", "flow")),
+    ]
+    for args, used, unused in cases:
+        loaded = _run_probe(args)
+        assert "orbitforge." + used in loaded, args
+        assert "click" not in loaded, args
+        assert not {"orbitforge." + m for m in unused} & loaded, args
+
+
+def test_main_standalone_mode_false_prints_the_same(capsys, tmp_path):
+    main(["strata", "--d", "2"])
+    default = capsys.readouterr().out
+    main(["strata", "--d", "2"], standalone_mode=False)
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["count"] > 0
+    # Without standalone mode a bad input propagates to the caller.
+    path = tmp_path / "broken.json"
+    path.write_text("[{]")
+    with pytest.raises(CliError, match="parse error"):
+        main(["check", "--input", str(path)], standalone_mode=False)
+
+
+@pytest.mark.parametrize("command", [[], ["strata"], ["check"], ["classify"],
+                                     ["table1"], ["table2"], ["minimize"]])
+def test_help_exits_zero(runner, command):
+    res = runner.invoke(main, [*command, "--help"])
+    assert res.exit_code == 0 and res.exception is None
+    assert res.stdout.startswith("usage: orbitforge")

@@ -1,5 +1,6 @@
 """Lie bracket validation, Ricci, minimal metrics, and the shipped table."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,30 @@ def test_sym_derivation_dim_irrational_constants():
         6, [((0, 1, 4), Coeff.from_square(Fraction(1, 2))),
             ((0, 2, 5), Coeff.from_square(Fraction(1, 2)))])
     assert sym_derivation_dim(mu) == 9
+
+
+_GOOD_ROW = {"name": "x", "beta_norm_sq": "1", "derivation_diag": [1] * 6,
+             "dim_aut": 6, "instances": []}
+BAD_TABLES = {
+    "not_an_object": [1, 2],
+    "no_rows": {"description": "x"},
+    "rows_not_a_list": {"rows": {"x": _GOOD_ROW}},
+    "row_not_an_object": {"rows": [["x"]]},
+    "integer_name": {"rows": [dict(_GOOD_ROW, name=5)]},
+    "instances_not_a_list": {"rows": [dict(_GOOD_ROW, instances={})]},
+    "row_without_dim_aut": {"rows": [{k: v for k, v in _GOOD_ROW.items()
+                                      if k != "dim_aut"}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TABLES))
+def test_fixture_schema_violations_raise_value_error(tmp_path, name):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(BAD_TABLES[name]))
+    with pytest.raises(ValueError):
+        load_table2_fixture(str(path))
+    path.write_text(json.dumps({"rows": [_GOOD_ROW]}))
+    assert load_table2_fixture(str(path))["rows"] == [_GOOD_ROW]
 
 
 def test_fixture_round_trip():
