@@ -5,9 +5,9 @@ Subpackages of functionality:
 * ``ratgeom``  -- exact rational convex geometry (mcc, relative interior)
 * ``lattice``  -- root systems and diagonal subalgebras (gl, sl, sp)
 * ``coeffs``   -- r*sqrt(s) exact coefficients
-* ``reps``     -- n-ary form and Lie bracket representations, moment maps
+* ``reps``     -- n-ary form and Lie bracket representations, weights, moment maps
 * ``nicecrit`` -- nice spaces, Gram criterion, distinguished-orbit verdicts
-* ``flow``     -- Newton solver for the moment equation, gradient flow
+* ``flow``     -- binary64 Newton solver for the moment equation
 * ``ternary``  -- strata of ternary forms, degree-4 classification
 * ``nilgeom``  -- nilpotent brackets, Ricci, minimal compatible metrics
 """

@@ -299,6 +299,8 @@ def minimize(path):
         emit_json({"command": "minimize", "outcome": "invalid_bracket",
                    "violation": exc.kind, "witness": list(exc.witness)})
         sys.exit(1)
+    if mu.n % 2:
+        raise UsageError("minimize needs an even-dimensional bracket")
     try:
         res = find_minimal_metric(mu)
     except NotDistinguishedError as exc:

@@ -1,4 +1,4 @@
-"""Floating-point solvers around the moment map.
+"""The binary64 Newton solver for the moment equation.
 
 The exact modules decide *whether* a critical point exists; this module finds
 the diagonal group element reaching it.  On a nice space the moment equation
@@ -11,27 +11,26 @@ orthogonally to the weight differences alpha_i - alpha_0, so X is searched on
 their span, whose basis is computed exactly and orthonormalized in binary64.
 Everything runs on plain Python floats: the search space has at most n - 1
 dimensions, and a small Cholesky factorization solves each Newton system.
+The weights and their class masses come from ``reps.weight_masses``.
+``scale_by_diag`` and ``moment_map_float`` move a vector by a solution and
+read its moment map, so that a solution can be checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import exp, log
 
 from . import _exact
-from .lattice import project_to_sp_diag
-from .ratgeom import Vec, in_relative_interior, mcc
-from .reps import (RepVector, apply_terms, moment_parts, support,
-                   support_projected)
+from .ratgeom import PointSet, Vec, in_relative_interior, mcc
+from .reps import RepVector, moment_parts, weight_masses
 
 ARMIJO = 1e-4
 NEWTON_TOL = 1e-12
-CRITICAL_TOL = 1e-10
 
 
 class FloatVector:
-    """binary64 mirror of a RepVector (same backend, float coefficients)."""
+    """A RepVector's terms with float coefficients, as moved by ``scale_by_diag``."""
 
     def __init__(self, backend, terms: dict):
         self.backend = backend
@@ -45,43 +44,13 @@ class FloatVector:
         return sum(c * c * float(self.backend.basis_norm_sq(idx))
                    for idx, c in self.terms.items())
 
-    def inner(self, other: "FloatVector") -> float:
-        total = 0.0
-        for idx, c in self.terms.items():
-            d = other.terms.get(idx)
-            if d is not None:
-                total += c * d * float(self.backend.basis_norm_sq(idx))
-        return total
-
-    def apply_matrix(self, matrix) -> "FloatVector":
-        return FloatVector(self.backend, apply_terms(self.backend, matrix, self.terms))
-
     def scale(self, factor: float) -> "FloatVector":
         return FloatVector(self.backend, {i: c * factor for i, c in self.terms.items()})
-
-    def axpy(self, a: float, other: "FloatVector") -> "FloatVector":
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            out[idx] = out.get(idx, 0.0) + a * c
-        return FloatVector(self.backend, out)
 
 
 def moment_map_float(v: FloatVector):
     """Moment map of a float vector, as an n x n list-of-lists matrix."""
     return moment_parts(v.backend, v.terms, v.norm_sq())[1]
-
-
-def is_critical(v: FloatVector, tol: float = CRITICAL_TOL):
-    """Criticality test: pi(mm(v)) v = lambda v up to tol * |v|.
-
-    Returns (bool, lambda); at a genuine critical point lambda = |mm(v)|^2.
-    """
-    mm = moment_map_float(v)
-    image = v.apply_matrix(mm)
-    nsq = v.norm_sq()
-    lam = image.inner(v) / nsq
-    residual = image.axpy(-lam, v)
-    return residual.norm_sq() ** 0.5 <= tol * nsq ** 0.5, lam
 
 
 def _dot(u, v) -> float:
@@ -152,22 +121,12 @@ def solve_moment_equation(w: RepVector, beta, subgroup: str = "gl",
         raise ValueError("unknown subgroup %r" % subgroup)
     n = w.backend.n
     beta = Vec(beta)
-    if subgroup == "sp":
-        weight_of = lambda idx: project_to_sp_diag(w.backend.weight(idx), n // 2)
-        sup = support_projected(w, n // 2)
-    else:
-        weight_of = lambda idx: w.backend.weight(idx)
-        sup = support(w)
+    masses = weight_masses(w, n // 2 if subgroup == "sp" else None)
+    sup = PointSet(masses)
     if mcc(sup) != beta:
         raise ValueError("beta is not the mcc of the support")
     if not in_relative_interior(sup, beta):
         raise ValueError("beta is not in the relative interior: no solution")
-
-    masses: dict = {}
-    for idx, c in w.terms.items():
-        alpha = weight_of(idx)
-        masses[alpha] = masses.get(alpha, Fraction(0)) + \
-            c.square() * w.backend.basis_norm_sq(idx)
     alphas = sorted(masses)
     c0 = [float(masses[a]) for a in alphas]
 
@@ -234,39 +193,3 @@ def scale_by_diag(x, v) -> FloatVector:
         alpha = fv.backend.weight(idx)
         out[idx] = c * exp(sum(float(a) * float(t) for a, t in zip(alpha, x)))
     return FloatVector(fv.backend, out)
-
-
-@dataclass
-class FlowResult:
-    vector: FloatVector
-    mm_diag: tuple
-    label: tuple            # chamber-canonical (sorted) mm diagonal
-    critical: bool
-    lam: float
-    iterations: int
-
-
-def gradient_flow(v: FloatVector, step: float = 0.01,
-                  max_iters: int = 1000) -> FlowResult:
-    """Explicit-Euler descent of F = |mm|^2 with renormalization.
-
-    Exploratory: reports where the flow lands, with no convergence claims.
-    grad F(v) = (4/|v|^2) (pi(mm(v)) v - F(v) v).
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    cur = v.scale(1.0 / v.norm_sq() ** 0.5)
-    it = 0
-    for it in range(1, max_iters + 1):
-        mm = moment_map_float(cur)
-        f = sum(mm[a][b] * mm[a][b] for a in range(len(mm)) for b in range(len(mm)))
-        image = cur.apply_matrix(mm)
-        grad = image.axpy(-f, cur).scale(4.0 / cur.norm_sq())
-        if grad.norm_sq() ** 0.5 < 1e-14:
-            break
-        cur = cur.axpy(-step, grad)
-        cur = cur.scale(1.0 / cur.norm_sq() ** 0.5)
-    mm = moment_map_float(cur)
-    diag = tuple(mm[i][i] for i in range(len(mm)))
-    crit, lam = is_critical(cur, tol=1e-6)
-    return FlowResult(cur, diag, tuple(sorted(diag)), crit, lam, it)

@@ -15,10 +15,10 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional
 
-from . import _exact
+from . import _exact, ratgeom
 from .lattice import RootSystem, project_to_sp_diag, sp_sign
 from .ratgeom import PointSet, Vec, interior_certificate, mcc
-from .reps import RepVector, apply_terms, support
+from .reps import RepVector, apply_terms, support, weight_of
 
 
 class GramMatrix:
@@ -66,17 +66,11 @@ class Verdict:
     witness: Optional[NiceWitness] = None
 
 
-def _weight_of_index(backend, idx, roots: RootSystem) -> Vec:
-    w = backend.weight(idx)
-    if roots.subgroup == "sp":
-        return project_to_sp_diag(w, roots.n // 2)
-    return w
-
-
 def _weight_index_table(backend, roots: RootSystem) -> dict:
+    m = roots.n // 2 if roots.subgroup == "sp" else None
     table: dict = {}
     for idx in backend.all_indices():
-        table.setdefault(_weight_of_index(backend, idx, roots), []).append(idx)
+        table.setdefault(weight_of(backend, idx, m), []).append(idx)
     return table
 
 
@@ -221,8 +215,7 @@ def critical_coefficients(weights: PointSet, basis_norms, beta) -> Optional[Crit
         raise ValueError("one basis norm per weight is required")
     particular = interior_certificate(weights, beta)
     if particular is None:
-        from .ratgeom import barycentric
-        particular = barycentric(weights, beta)
+        particular = ratgeom.barycentric(weights, beta)
         if particular is None:
             return None
     rows = [[Fraction(1)] * len(weights)]

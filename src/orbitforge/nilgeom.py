@@ -24,11 +24,11 @@ from typing import Optional
 
 from . import _exact
 from .coeffs import Coeff, IrrationalError
-from .lattice import project_to_sp_diag, sp_diag_roots, sp_sign
+from .lattice import sp_diag_roots, sp_sign
 from .nicecrit import Verdict, is_distinguished
 from .ratgeom import PointSet, Vec, mcc
 from .reps import (RepVector, SymMatrix, apply_matrix, moment_map_restricted,
-                   support_projected)
+                   support_projected, weight_masses, weight_of)
 
 
 class LieBracket:
@@ -293,7 +293,8 @@ def find_minimal_metric(mu: LieBracket) -> MinimalMetricResult:
         raise ValueError("a minimal compatible metric needs even dimension")
     if mu.vector.is_zero():
         raise ValueError("the zero bracket has no minimal metric")
-    weights = support_projected(mu.vector, m)
+    class_mass = weight_masses(mu.vector, m)
+    weights = PointSet(class_mass)
     verdict = is_distinguished(weights, mu.vector.backend, sp_diag_roots(m))
     if verdict.outcome != "distinguished":
         raise NotDistinguishedError(verdict)
@@ -303,18 +304,11 @@ def find_minimal_metric(mu: LieBracket) -> MinimalMetricResult:
     # The certificate is a critical mass distribution: positive masses on
     # the weights, summing to 1, with barycentre beta.
     target = dict(zip(weights, verdict.certificate))
-    class_mass: dict = {}
-    proj = {}
-    for idx, c in mu.vector.terms.items():
-        pw = project_to_sp_diag(mu.vector.backend.weight(idx), m)
-        proj[idx] = pw
-        class_mass[pw] = class_mass.get(pw, Fraction(0)) + \
-            c.square() * mu.vector.backend.basis_norm_sq(idx)
     terms = {}
     for idx, c in mu.vector.terms.items():
-        ratio = target[proj[idx]] / class_mass[proj[idx]]
+        pw = weight_of(mu.vector.backend, idx, m)
         sign = 1 if c.r > 0 else -1
-        terms[idx] = Coeff.from_square(c.square() * ratio, sign)
+        terms[idx] = Coeff.from_square(c.square() * target[pw] / class_mass[pw], sign)
     critical = RepVector(mu.vector.backend, terms)
     return MinimalMetricResult(verdict, result.x, result.residual, critical, beta)
 

@@ -15,6 +15,12 @@ basis index, as at most three (index, integer factor) pairs.  The sparse
 ``apply_terms``, the group actions built on it and the closed-form moment map
 mm_ab = <pi(E_ab)v, v> / |v|^2 use nothing else of the action.
 
+``weight_of(backend, idx, m)`` is the weight of one basis index, projected to
+the sp(2m) diagonal when m is given; ``weight_masses(v, m)`` maps each distinct
+(projected) weight of v to its class mass sum c^2 |e_idx|^2.  The supports,
+nice-space tables, Newton solve and minimal metric all read weights through
+these two.
+
 Vectors are sparse maps from basis index to an exact coefficient (rational or
 a single square root, see ``coeffs``), so that moment maps, Gram matrices and
 criticality identities are computed without any rounding.
@@ -268,26 +274,31 @@ class RepVector:
         return "RepVector(%r, %r)" % (self.backend, self.sorted_terms())
 
 
+def weight_of(backend, idx, m: Optional[int] = None) -> Vec:
+    """Weight of one basis index, projected to the sp(2m) diagonal when m is given."""
+    w = backend.weight(idx)
+    return w if m is None else project_to_sp_diag(w, m)
+
+
+def weight_masses(v: RepVector, m: Optional[int] = None) -> dict:
+    """{distinct (projected) weight: class mass sum c^2 |e_idx|^2}, in term order."""
+    masses: dict = {}
+    for idx, c in v.sorted_terms():
+        w = weight_of(v.backend, idx, m)
+        masses[w] = masses.get(w, 0) + c.square() * v.backend.basis_norm_sq(idx)
+    return masses
+
+
 def support(v: RepVector) -> PointSet:
     """Ordered set of distinct weights carried by the nonzero terms."""
     if v.is_zero():
         raise ValueError("empty support: zero vector")
-    seen = []
-    for idx, _ in v.sorted_terms():
-        w = v.backend.weight(idx)
-        if w not in seen:
-            seen.append(w)
-    return PointSet(seen)
+    return PointSet(dict.fromkeys(weight_of(v.backend, i) for i, _ in v.sorted_terms()))
 
 
 def support_projected(v: RepVector, m: int) -> PointSet:
     """Distinct sp(2m)-weights: the gl weights projected to the sp diagonal."""
-    seen = []
-    for idx, _ in v.sorted_terms():
-        w = project_to_sp_diag(v.backend.weight(idx), m)
-        if w not in seen:
-            seen.append(w)
-    return PointSet(seen)
+    return PointSet(dict.fromkeys(weight_of(v.backend, i, m) for i, _ in v.sorted_terms()))
 
 
 def apply_diag(x, v: RepVector) -> RepVector:

@@ -208,6 +208,15 @@ def test_minimize_not_distinguished_is_data(runner, tmp_path):
     assert json.loads(res.output)["outcome"] == "not_nice"
 
 
+def test_minimize_odd_dimension_is_a_usage_error(runner, tmp_path):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps([{"i": 1, "j": 2, "k": 5, "coeff": "1"}]))
+    res = runner.invoke(main, ["minimize", "--input", str(path)])
+    assert res.exit_code == 2
+    assert "minimize needs an even-dimensional bracket" in res.stderr
+    assert "Traceback" not in res.output and res.stdout == ""
+
+
 def test_classify_shape(runner):
     res = _invoke(runner, ["classify", "--d", "4"])
     payload = json.loads(res.output)

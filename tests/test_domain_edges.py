@@ -10,7 +10,8 @@ from orbitforge.nicecrit import is_distinguished
 from orbitforge.nilgeom import (LieBracket, find_minimal_metric,
                                 sym_derivation_dim, validate, verify_minimal)
 from orbitforge.reps import (BracketBackend, PolyBackend, RepVector,
-                             moment_map_restricted, support, support_projected)
+                             moment_map_restricted, support, support_projected,
+                             weight_of)
 
 _COEFF = st.fractions(-3, 3, max_denominator=4).filter(bool)
 
@@ -26,12 +27,9 @@ def _single_weight_vectors(draw, kind, group):
                                  else draw(st.integers(2, 5)))
     indices = list(backend.all_indices())
     first = draw(st.sampled_from(indices))
-    v = RepVector(backend, [(first, 1)])
-    weight_of = ((lambda u: support_projected(u, backend.n // 2)[0]) if group == "sp"
-                 else (lambda u: support(u)[0]))
-    alpha = weight_of(v)
-    same = [idx for idx in indices
-            if weight_of(RepVector(backend, [(idx, 1)])) == alpha]
+    m = backend.n // 2 if group == "sp" else None
+    alpha = weight_of(backend, first, m)
+    same = [idx for idx in indices if weight_of(backend, idx, m) == alpha]
     picked = draw(st.lists(st.sampled_from(same), min_size=1, unique=True))
     return RepVector(backend, [(idx, draw(_COEFF)) for idx in picked]), alpha
 

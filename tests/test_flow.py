@@ -1,4 +1,4 @@
-"""Float solvers: Newton for the moment equation, convexity, gradient flow."""
+"""Float solvers: Newton for the moment equation and the float moment map."""
 
 import os
 import random
@@ -10,8 +10,7 @@ from math import log
 import pytest
 
 import orbitforge
-from orbitforge.flow import (FloatVector, gradient_flow, is_critical,
-                             moment_map_float, scale_by_diag,
+from orbitforge.flow import (FloatVector, moment_map_float, scale_by_diag,
                              solve_moment_equation)
 from orbitforge.lattice import gl_roots
 from orbitforge.nicecrit import is_distinguished
@@ -107,22 +106,6 @@ def test_moment_map_limit_hits_exposed_weight():
             mm = moment_map_float(moved)
             for i in range(3):
                 assert abs(mm[i][i] - float(alpha[i])) <= 1e-6
-
-
-def test_is_critical_on_monomial():
-    v = FloatVector.from_rep(RepVector.poly(3, 4, [((2, 1, 1), 1)]))
-    crit, lam = is_critical(v)
-    assert crit
-    assert lam == pytest.approx(6.0)  # |(-2,-1,-1)|^2
-
-
-def test_gradient_flow_lands_on_a_stratum_label():
-    v = FloatVector.from_rep(
-        RepVector.poly(3, 4, [((1, 3, 0), 1), ((2, 0, 2), Fraction(7, 5))]))
-    res = gradient_flow(v, step=0.02, max_iters=4000)
-    assert res.critical
-    expected = sorted([-11 / 7, -9 / 7, -8 / 7])
-    assert max(abs(a - b) for a, b in zip(res.label, expected)) < 1e-5
 
 
 def test_scale_by_diag_matches_group_scale():

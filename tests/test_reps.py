@@ -4,16 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitforge import _exact
 from orbitforge.coeffs import Coeff
 from orbitforge.lattice import gl_roots
 from orbitforge.nilgeom import LieBracket, ricci
 from orbitforge.ratgeom import PointSet, Vec
-from orbitforge.reps import (RepVector, SymMatrix, apply_diag,
-                             apply_elementary, apply_matrix, group_scale,
-                             moment_map, moment_map_restricted, project_sym_sp,
-                             support, support_projected, sym_sp_basis)
+from orbitforge.reps import (BracketBackend, PolyBackend, RepVector, SymMatrix,
+                             apply_diag, apply_elementary, apply_matrix,
+                             group_scale, moment_map, moment_map_restricted,
+                             project_sym_sp, support, support_projected,
+                             sym_sp_basis, weight_masses)
 
 
 def test_poly_basis_norms_and_weights():
@@ -77,6 +80,36 @@ def test_support_and_projection():
     proj = support_projected(mu, 3)
     assert proj.as_set() == PointSet([
         Vec([-1, 0, h, -h, 0, 1]), Vec([0, -1, -h, h, 1, 0])]).as_set()
+
+
+@st.composite
+def _vectors(draw, kind, group):
+    """A nonzero poly or bracket vector, with some square-root coefficients."""
+    if kind == "poly":
+        n = draw(st.sampled_from([2, 4])) if group == "sp" else draw(st.integers(2, 3))
+        backend = PolyBackend(n, draw(st.integers(1, 4)))
+    else:
+        backend = BracketBackend(draw(st.sampled_from([4, 6])) if group == "sp"
+                                 else draw(st.integers(2, 5)))
+    picked = draw(st.lists(st.sampled_from(list(backend.all_indices())),
+                           min_size=1, max_size=6, unique=True))
+    coeff = st.builds(Coeff.from_square, st.fractions(0, 9, max_denominator=4).filter(bool),
+                      st.sampled_from([1, -1]))
+    return RepVector(backend, [(idx, draw(coeff)) for idx in picked])
+
+
+@pytest.mark.parametrize("kind", ["poly", "bracket"])
+@pytest.mark.parametrize("group", ["gl", "sp"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_weight_masses_follow_the_support(kind, group, data):
+    v = data.draw(_vectors(kind, group))
+    m = v.backend.n // 2 if group == "sp" else None
+    masses = weight_masses(v, m)
+    sup = support(v) if m is None else support_projected(v, m)
+    assert list(masses) == list(sup)
+    assert all(mass > 0 for mass in masses.values())
+    assert sum(masses.values()) == v.norm_sq()
 
 
 def test_moment_map_of_a_monomial_is_its_weight():
