@@ -59,7 +59,7 @@ def _parse_coeff(raw):
     from .coeffs import Coeff
 
     if isinstance(raw, dict):
-        sign = int(raw.get("sign", 1))
+        sign = _integer(raw.get("sign", 1))
         return Coeff.from_square(Fraction(raw["sq"]), sign)
     return Coeff(Fraction(raw))
 
@@ -71,6 +71,8 @@ def _load_vector(path: str):
     except json.JSONDecodeError as exc:
         raise CliError("parse error in %s at line %d column %d: %s"
                        % (path, exc.lineno, exc.colno, exc.msg))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError("bad input file %s: %s: %s" % (path, type(exc).__name__, exc))
     if not isinstance(data, list) or not data:
         raise CliError("input must be a nonempty list of terms")
     try:
@@ -82,20 +84,27 @@ def _load_vector(path: str):
     return v
 
 
+def _integer(x) -> int:
+    """A JSON integer exponent, index or sign: no float, boolean or string."""
+    if type(x) is not int:
+        raise ValueError("%r is not an integer" % (x,))
+    return x
+
+
 def _vector_from_terms(data: list):
     from .reps import RepVector
 
     first = data[0]
     if "exponents" in first:
-        exps = [tuple(int(e) for e in t["exponents"]) for t in data]
+        exps = [tuple(_integer(e) for e in t["exponents"]) for t in data]
         n = len(exps[0])
         d = sum(exps[0])
         items = [(e, _parse_coeff(t["coeff"])) for e, t in zip(exps, data)]
         return RepVector.poly(n, d, items)
     if {"i", "j", "k"} <= set(first):
-        n = max(max(int(t["i"]), int(t["j"]), int(t["k"])) for t in data)
-        items = [((int(t["i"]) - 1, int(t["j"]) - 1, int(t["k"]) - 1),
-                  _parse_coeff(t["coeff"])) for t in data]
+        n = max(_integer(t[key]) for t in data for key in "ijk")
+        items = [(tuple(_integer(t[key]) - 1 for key in "ijk"), _parse_coeff(t["coeff"]))
+                 for t in data]
         return RepVector.bracket(n, items)
     raise CliError("terms must carry either 'exponents' or 'i','j','k'")
 
@@ -116,8 +125,21 @@ def _render_table(rows: list, header: list, fmt: str) -> None:
 
 def strata(n, d, fmt, paper_signs, svg):
     """Stratum labels for forms of degree D in N variables."""
-    if svg is not None and n != 3:
+    if svg is None:
+        _print_strata(n, d, fmt, paper_signs)
+        return
+    if n != 3:
         raise UsageError("--svg requires --n 3")
+    # Open the drawing first, so that an unwritable path prints nothing.
+    try:
+        fh = open(svg, "w")
+    except OSError as exc:
+        raise UsageError("cannot write --svg %s: %s" % (svg, exc.strerror))
+    with fh:
+        _write_strata_svg(fh, d, _print_strata(n, d, fmt, paper_signs))
+
+
+def _print_strata(n, d, fmt, paper_signs) -> list:
     from .ratgeom import Vec
     from .ternary import stratifying_set
 
@@ -140,11 +162,10 @@ def strata(n, d, fmt, paper_signs, svg):
         _render_table(rows, ["beta_%d" % i for i in range(n)] + ["norm_sq"], fmt)
         if n != 3:
             print("# unverified for n != 3", file=sys.stderr)
-    if svg is not None:
-        _write_strata_svg(svg, d, labels)
+    return labels
 
 
-def _write_strata_svg(path: str, d: int, labels) -> None:
+def _write_strata_svg(fh, d: int, labels) -> None:
     from .ternary import _all_weights
 
     def plane(p):
@@ -165,8 +186,7 @@ def _write_strata_svg(path: str, d: int, labels) -> None:
         parts.append('<circle cx="%.2f" cy="%.2f" r="5" fill="none" '
                      'stroke="crimson" stroke-width="2"/>' % (cx, cy))
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+    fh.write("\n".join(parts))
 
 
 def check(path, group, paper_signs):

@@ -18,8 +18,8 @@ read its moment map, so that a solution can be checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp, log
+from typing import NamedTuple
 
 from . import _exact
 from .ratgeom import PointSet, Vec, in_relative_interior, mcc
@@ -91,8 +91,7 @@ def _cholesky_solve(h, rhs):
     return s
 
 
-@dataclass
-class NewtonResult:
+class NewtonResult(NamedTuple):
     x: tuple                 # diagonal element, length-n floats
     residual: float          # |sum p_i alpha_i - beta| at the solution
     iterations: int

@@ -8,26 +8,33 @@ diagonal part of sp(2m,R) is the set of patterns (a_1,...,a_m,-a_m,...,-a_1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratgeom import Vec
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """The root set of a diagonal subalgebra, closed under negation."""
 
-    n: int
-    roots: frozenset
-    subgroup: str  # "gl" | "sl" | "sp"
+    __slots__ = ("n", "roots", "subgroup")
 
-    def __post_init__(self):
-        zero = Vec([0] * self.n)
-        if zero in self.roots:
+    def __init__(self, n: int, roots: frozenset, subgroup: str):  # "gl" | "sl" | "sp"
+        if Vec([0] * n) in roots:
             raise ValueError("0 is not a root")
-        if any(-r not in self.roots for r in self.roots):
+        if any(-r not in roots for r in roots):
             raise ValueError("root set must be closed under negation")
+        for name, value in zip(self.__slots__, (n, roots, subgroup)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RootSystem is immutable")
+
+    def __eq__(self, other):
+        return type(other) is RootSystem and (self.n, self.roots, self.subgroup) == (
+            other.n, other.roots, other.subgroup)
+
+    def __hash__(self):
+        return hash((self.n, self.roots, self.subgroup))
 
     def __contains__(self, v) -> bool:
         return Vec(v) in self.roots

@@ -10,10 +10,9 @@ have a strictly positive solution, U the Gram matrix of the weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import _exact, ratgeom
 from .lattice import RootSystem, project_to_sp_diag, sp_sign
@@ -49,8 +48,7 @@ def gram(weights: PointSet) -> GramMatrix:
     return GramMatrix([[p.dot(q) for q in weights] for p in weights])
 
 
-@dataclass(frozen=True)
-class NiceWitness:
+class NiceWitness(NamedTuple):
     """A failing pair for the niceness test: alpha_j - alpha_i is the root."""
 
     alpha_i: Vec
@@ -58,8 +56,7 @@ class NiceWitness:
     root: Vec
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     outcome: str  # "distinguished" | "not_distinguished" | "not_nice"
     beta: Optional[Vec] = None
     certificate: Optional[tuple] = None
@@ -170,8 +167,7 @@ def is_distinguished(weights: PointSet, backend, roots: RootSystem) -> Verdict:
     return Verdict("distinguished", beta=beta, certificate=tuple(cert))
 
 
-@dataclass(frozen=True)
-class CriticalFamily:
+class CriticalFamily(NamedTuple):
     """Affine family of critical squared-coefficient masses.
 
     Masses c_i (nonnegative, summing to 1, with sum c_i alpha_i = beta) are

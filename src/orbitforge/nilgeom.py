@@ -16,11 +16,10 @@ is re-verified row by row from these primitives.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import _exact
 from .coeffs import Coeff, IrrationalError
@@ -211,8 +210,7 @@ def ricci(mu: LieBracket) -> SymMatrix:
     return SymMatrix(entries)
 
 
-@dataclass
-class MinimalReport:
+class MinimalReport(NamedTuple):
     nice: bool                       # mm_sp diagonal in this basis
     critical: bool                   # mm_sp equals mcc of projected support
     beta: Optional[Vec]
@@ -267,8 +265,7 @@ class NotDistinguishedError(Exception):
         self.verdict = verdict
 
 
-@dataclass
-class MinimalMetricResult:
+class MinimalMetricResult(NamedTuple):
     verdict: Verdict
     x: tuple                  # diagonal solution of the moment equation
     residual: float
@@ -346,8 +343,7 @@ def sym_derivation_dim(mu: LieBracket) -> int:
     return len(pairs) - _exact.rank(list(rows.values())) // deg
 
 
-@dataclass
-class TableRowReport:
+class TableRowReport(NamedTuple):
     name: str
     label: str
     passed: bool

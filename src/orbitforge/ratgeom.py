@@ -155,6 +155,16 @@ def mcc(s: PointSet) -> Vec:
     raise RuntimeError("mcc: no optimal face found (cannot happen)")
 
 
+def segment_min_norm(a, b) -> Vec:
+    """mcc of {a, b} in closed form: a + clamp(-<a, b-a>/|b-a|^2, 0, 1) (b-a)."""
+    step = [y - x for x, y in zip(a, b, strict=True)]
+    length_sq = sum(x * x for x in step)
+    if not length_sq:
+        return Vec(a)
+    t = Fraction(min(max(-sum(x * y for x, y in zip(a, step)), 0), length_sq), length_sq)
+    return Vec(x + t * y for x, y in zip(a, step))
+
+
 def barycentric(s: PointSet, p) -> Optional[list[Fraction]]:
     """Nonnegative coefficients summing to 1 with sum c_i s_i = p, or None."""
     p = Vec(p)

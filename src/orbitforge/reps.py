@@ -28,10 +28,9 @@ criticality identities are computed without any rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .coeffs import Coeff, IrrationalError
 from .lattice import project_to_sp_diag, sp_sign
@@ -96,8 +95,7 @@ class SymMatrix:
         return "SymMatrix(%r)" % (self.rows,)
 
 
-@dataclass(frozen=True)
-class PolyBackend:
+class PolyBackend(NamedTuple):
     """R[x_1..x_n]_d under linear substitution."""
 
     n: int
@@ -139,8 +137,7 @@ class PolyBackend:
         return [(tuple(new), -idx[a])]
 
 
-@dataclass(frozen=True)
-class BracketBackend:
+class BracketBackend(NamedTuple):
     """Lambda^2(R^n)* (x) R^n under change of basis."""
 
     n: int

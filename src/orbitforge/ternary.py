@@ -1,21 +1,21 @@
 """Strata of ternary forms and the degree-4 classification.
 
 For GL_3(R) acting on R[x,y,z]_d, the candidate critical moment-map values
-are the minimum-norm points of weight pairs whose difference is not a root
-(singleton pairs included).  For d = 4 this reproduces the twelve strata of
-the null cone together with their exact critical coefficients.
+are the minimum-norm points of the segments between weight pairs whose
+difference is not a root (singleton pairs included), each in closed form.
+For d = 4 this reproduces the twelve strata of the null cone together with
+their exact critical coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .lattice import chamber_canonical, gl_roots
 from .nicecrit import CriticalFamily, critical_coefficients, is_nice
-from .ratgeom import PointSet, Vec, mcc
+from .ratgeom import PointSet, Vec, segment_min_norm
 from .reps import PolyBackend
 
 
@@ -26,20 +26,18 @@ def _all_weights(n: int, d: int) -> list[Vec]:
 def stratifying_set(d: int, n: int = 3) -> list[Vec]:
     """Candidate stratum labels: mcc over non-root-related weight pairs.
 
-    Pairs may degenerate to a single weight.  Labels are chamber-canonical
-    (coordinates sorted ascending) and returned sorted by norm descending,
-    then lexicographically.  Validated against the published degree-4
-    classification only for n = 3.
+    Pairs may degenerate to a single weight, and a pair's mcc is the closed-
+    form segment point.  Labels are chamber-canonical (ascending coordinates),
+    sorted by norm descending, then lexicographically.  Validated against the
+    published degree-4 classification only for n = 3.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
     roots = gl_roots(n)
-    weights = _all_weights(n, d)
-    out = set()
-    for a, b in combinations_with_replacement(weights, 2):
-        if a != b and (a - b) in roots:
-            continue
-        out.add(chamber_canonical(mcc(PointSet([a]) if a == b else PointSet([a, b]))))
+    weights = [tuple(int(x) for x in w) for w in _all_weights(n, d)]  # integer arithmetic
+    out = {chamber_canonical(segment_min_norm(a, b))
+           for a, b in combinations_with_replacement(weights, 2)
+           if a == b or [x - y for x, y in zip(a, b)] not in roots}
     return sorted(out, key=lambda v: (-v.norm_sq(), v))
 
 
@@ -105,16 +103,14 @@ def maximal_nice_subsets(weights: PointSet, n: int = 3, d: Optional[int] = None)
     return out
 
 
-@dataclass(frozen=True)
-class StratumFamily:
+class StratumFamily(NamedTuple):
     """Critical solutions supported on one maximal nice subset of Omega(beta)."""
 
     weights: PointSet
     family: CriticalFamily
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     beta: Vec
     omega: PointSet
     families: tuple  # of StratumFamily; empty when no critical point exists
@@ -163,8 +159,7 @@ def display_type(beta: Vec) -> tuple:
     return tuple(sorted(-x for x in beta))
 
 
-@dataclass(frozen=True)
-class Table1RowReport:
+class Table1RowReport(NamedTuple):
     type: tuple
     passed: bool
     mismatches: tuple

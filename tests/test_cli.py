@@ -128,6 +128,13 @@ BAD_TERMS = {
     "repeated_index": [{"i": 1, "j": 1, "k": 3, "coeff": "1"}],
     "short_exponents": [{"exponents": [1, 3, 0], "coeff": "1"},
                         {"exponents": [4, 0], "coeff": "1"}],
+    # Indices are JSON integers only: nothing is truncated or coerced.
+    "fractional_exponents": [{"exponents": [1.5, 2.5, 0], "coeff": "1"}],
+    "float_exponent": [{"exponents": [1.0, 3, 0], "coeff": "1"}],
+    "string_exponent": [{"exponents": ["1", 3, 0], "coeff": "1"}],
+    "fractional_index": [{"i": 1.5, "j": 2, "k": 3, "coeff": "1"}],
+    "boolean_index": [{"i": True, "j": 2, "k": 3, "coeff": "1"}],
+    "fractional_sign": [{"i": 1, "j": 2, "k": 3, "coeff": {"sq": "1", "sign": 1.5}}],
 }
 
 
@@ -141,6 +148,18 @@ def test_bad_terms_are_one_line_errors(runner, tmp_path, command, name):
     assert not isinstance(res.exception, (ValueError, KeyError, TypeError))
     assert res.output.startswith("Error: bad term in")
     assert len(res.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "minimize"])
+def test_non_utf8_input_is_a_one_line_error(runner, tmp_path, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('[{"exponents": [1, 3, 0], "coeff": "\u00bd"}]'.encode("latin-1"))
+    res = runner.invoke(main, [command, "--input", str(path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: bad input file")
+    assert "UnicodeDecodeError" in lines[0]
 
 
 ZERO_TERMS = {
@@ -343,6 +362,15 @@ def test_strata_svg_off_n3_fails_before_any_output(runner, tmp_path):
     assert res.stdout == ""
     assert "--svg requires --n 3" in res.stderr
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_strata_unwritable_svg_fails_before_any_output(runner, tmp_path, target):
+    svg = tmp_path / "missing" / "x.svg" if target == "missing_dir" else tmp_path
+    res = runner.invoke(main, ["strata", "--d", "4", "--svg", str(svg)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stdout == "" and "Traceback" not in res.output
+    assert "cannot write --svg" in res.stderr
 
 
 def test_table2_fixture_row_name_must_be_a_string(runner, tmp_path):

@@ -5,10 +5,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitforge import _exact
 from orbitforge.ratgeom import (PointSet, Vec, barycentric, in_relative_interior,
-                                interior_certificate, mcc, vertices, zero_vec)
+                                interior_certificate, mcc, segment_min_norm,
+                                vertices, zero_vec)
 
 
 def _oracle_mcc(s: PointSet) -> Vec:
@@ -81,6 +84,33 @@ def test_mcc_hand_checked():
     s = PointSet([Vec([1, 0]), Vec([-1, 1]), Vec([0, -2])])
     assert mcc(s) == Vec([0, 0])
     assert mcc(PointSet([Vec([2, 2])])) == Vec([2, 2])
+
+
+_entries = st.one_of(st.integers(-6, 6),
+                    st.fractions(min_value=-6, max_value=6, max_denominator=4))
+
+
+@st.composite
+def _segments(draw):
+    """Endpoints of one segment in dimension 1-6; b == a a quarter of the time."""
+    dim = draw(st.integers(1, 6))
+    a = draw(st.lists(_entries, min_size=dim, max_size=dim))
+    same = draw(st.integers(0, 3)) == 0
+    return a, a if same else draw(st.lists(_entries, min_size=dim, max_size=dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segments())
+@example(([1, 2], [1, 2]))                   # a == b
+@example(([1, 0], [3, 0]))                   # t < 0: the end a
+@example(([3, 0], [1, 0]))                   # t > 1: the end b
+@example(([-1, 2], [1, 2]))                  # 0 < t < 1: the point (0, 2)
+@example(([Fraction(1, 2)], [Fraction(-1, 3)]))
+def test_segment_min_norm_matches_mcc(segment):
+    a, b = segment
+    got = segment_min_norm(a, b)
+    assert got == mcc(PointSet([a]) if a == b else PointSet([a, b]))
+    assert isinstance(got, Vec) and all(type(x) is Fraction for x in got)
 
 
 def test_barycentric_membership():

@@ -1,14 +1,15 @@
 """Strata of ternary forms and the degree-4 classification."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitforge.lattice import chamber_canonical
-from orbitforge.ratgeom import Vec
+from orbitforge.lattice import chamber_canonical, gl_roots
+from orbitforge.ratgeom import PointSet, Vec, mcc
+from orbitforge.reps import PolyBackend
 from orbitforge.ternary import (_maximal_independent_sets, classify,
                                 display_type, maximal_nice_subsets,
                                 omega_weights, stratifying_set, verify_table1)
@@ -49,6 +50,25 @@ def test_stratifying_set_low_degrees():
         (Fraction(2, 3), Fraction(2, 3), Fraction(2, 3))}
     with pytest.raises(ValueError):
         stratifying_set(0)
+
+
+def _oracle_stratifying_set(d, n):
+    """The pair formula through the subset-enumerating mcc of each pair."""
+    backend = PolyBackend(n, d)
+    weights = [backend.weight(idx) for idx in backend.all_indices()]
+    roots = gl_roots(n)
+    out = set()
+    for a, b in combinations_with_replacement(weights, 2):
+        if a != b and (a - b) in roots:
+            continue
+        out.add(chamber_canonical(mcc(PointSet([a]) if a == b else PointSet([a, b]))))
+    return sorted(out, key=lambda v: (-v.norm_sq(), v))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stratifying_set_matches_the_mcc_oracle(n):
+    for d in range(1, 7):
+        assert stratifying_set(d, n) == _oracle_stratifying_set(d, n), (d, n)
 
 
 def test_omega_weights():
