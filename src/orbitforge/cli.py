@@ -56,12 +56,11 @@ def emit_json(payload) -> None:
 
 
 def _parse_coeff(raw):
-    from .coeffs import Coeff
+    from .coeffs import Coeff, json_integer, json_rational
 
     if isinstance(raw, dict):
-        sign = _integer(raw.get("sign", 1))
-        return Coeff.from_square(Fraction(raw["sq"]), sign)
-    return Coeff(Fraction(raw))
+        return Coeff.from_square(json_rational(raw["sq"]), json_integer(raw.get("sign", 1)))
+    return Coeff(json_rational(raw))
 
 
 def _load_vector(path: str):
@@ -84,26 +83,20 @@ def _load_vector(path: str):
     return v
 
 
-def _integer(x) -> int:
-    """A JSON integer exponent, index or sign: no float, boolean or string."""
-    if type(x) is not int:
-        raise ValueError("%r is not an integer" % (x,))
-    return x
-
-
 def _vector_from_terms(data: list):
+    from .coeffs import json_integer
     from .reps import RepVector
 
     first = data[0]
     if "exponents" in first:
-        exps = [tuple(_integer(e) for e in t["exponents"]) for t in data]
+        exps = [tuple(json_integer(e) for e in t["exponents"]) for t in data]
         n = len(exps[0])
         d = sum(exps[0])
         items = [(e, _parse_coeff(t["coeff"])) for e, t in zip(exps, data)]
         return RepVector.poly(n, d, items)
     if {"i", "j", "k"} <= set(first):
-        n = max(_integer(t[key]) for t in data for key in "ijk")
-        items = [(tuple(_integer(t[key]) - 1 for key in "ijk"), _parse_coeff(t["coeff"]))
+        n = max(json_integer(t[key]) for t in data for key in "ijk")
+        items = [(tuple(json_integer(t[key]) - 1 for key in "ijk"), _parse_coeff(t["coeff"]))
                  for t in data]
         return RepVector.bracket(n, items)
     raise CliError("terms must carry either 'exponents' or 'i','j','k'")

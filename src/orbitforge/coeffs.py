@@ -6,7 +6,9 @@ in the coefficients, so a single radical per coefficient keeps the whole
 pipeline rational: ``Coeff`` stores r * sqrt(s) with r rational and s a
 squarefree positive integer.  Products fold radicands together and collapse
 perfect squares; sums are only defined within one radicand, and a sum of
-distinct radicands raises ``IrrationalError``.
+distinct radicands raises ``IrrationalError``.  ``json_rational`` and
+``json_integer`` are the one rule by which input and fixture files give
+these numbers: rationals as strings or integers, signs as integers.
 """
 
 from __future__ import annotations
@@ -31,6 +33,24 @@ def _square_free_split(n: int) -> tuple[int, int]:
             m *= d
         d += 1
     return k, m * n
+
+
+def json_integer(x) -> int:
+    """A JSON integer (exponent, index or sign): no float, boolean or string."""
+    if type(x) is not int:
+        raise ValueError("%r is not an integer" % (x,))
+    return x
+
+
+def json_rational(x) -> Fraction:
+    """A JSON rational: a string such as "-3/4", or an integer.
+
+    A JSON float is refused rather than read as its binary value (0.1 is not
+    1/10 in binary), and so is a boolean.
+    """
+    if type(x) is not str and type(x) is not int:
+        raise ValueError("%r is not a rational string or an integer" % (x,))
+    return Fraction(x)
 
 
 class IrrationalError(ValueError):

@@ -27,6 +27,7 @@ from .reps import RepVector, moment_parts, weight_masses
 
 ARMIJO = 1e-4
 NEWTON_TOL = 1e-12
+MAX_ITERS = 50
 
 
 class FloatVector:
@@ -107,8 +108,7 @@ class NewtonResult(NamedTuple):
         return Vec(out)
 
 
-def solve_moment_equation(w: RepVector, beta, subgroup: str = "gl",
-                          max_iters: int = 50) -> NewtonResult:
+def solve_moment_equation(w: RepVector, beta, subgroup: str = "gl") -> NewtonResult:
     """Newton solve of mm_a(exp(X).w) = beta over the diagonal subalgebra.
 
     ``beta`` must be mcc of the (projected) support and lie in the relative
@@ -156,7 +156,7 @@ def solve_moment_equation(w: RepVector, beta, subgroup: str = "gl",
     mean, gap, res = moments(p)
     psd_ok = True
     iters = 0
-    while res > NEWTON_TOL and iters < max_iters:
+    while res > NEWTON_TOL and iters < MAX_ITERS:
         grad = [2.0 * g for g in gap]
         hess = [[4.0 * (sum(pi * a[r] * a[s] for pi, a in zip(p, coords))
                         - mean[r] * mean[s]) for s in range(k)] for r in range(k)]

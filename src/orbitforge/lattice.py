@@ -4,11 +4,11 @@ Diagonal matrices are identified with vectors throughout; the trace form on
 diagonals is then the standard dot product.  The symplectic form is fixed to
 the antidiagonal pairing  omega = sum_i e_i^* wedge e_{2m+1-i}^*, so the
 diagonal part of sp(2m,R) is the set of patterns (a_1,...,a_m,-a_m,...,-a_1).
+The roots and their root-space generators come from one loop over matrix
+positions; a generator is a tuple of sparse (a, b, x) entries.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .ratgeom import Vec
 
@@ -40,31 +40,51 @@ class RootSystem:
         return Vec(v) in self.roots
 
 
+def _root_spaces(n: int, subgroup: str):
+    """(root, generator) pairs spanning the root spaces, from matrix positions.
+
+    gl/sl: position (a, b), a != b, gives the root e_a - e_b and E_ab.  sp
+    (n = 2m): M^T J + J M = 0 pairs (a, b) with (n-1-b, n-1-a) (the same
+    position when b = n-1-a), and each pair gives the projected root and
+    E_ab - sgn(a) sgn(b) E_{n-1-b,n-1-a}.  A generator is a tuple of sparse
+    (a, b, x) entries.
+    """
+    if subgroup not in ("gl", "sl", "sp"):
+        raise ValueError("unknown subgroup %r" % subgroup)
+    m = n // 2
+    for a in range(n):
+        for b in range(n):
+            pair = (n - 1 - b, n - 1 - a)
+            if a == b or (subgroup == "sp" and (a, b) > pair):
+                continue
+            e = [0] * n
+            e[a], e[b] = 1, -1
+            if subgroup != "sp":
+                yield Vec(e), ((a, b, 1),)
+                continue
+            x = -sp_sign(a, m) * sp_sign(b, m)
+            gen = ((a, b, 1 + x),) if (a, b) == pair else ((a, b, 1), pair + (x,))
+            yield project_to_sp_diag(e, m), gen
+
+
+def root_space(rs: RootSystem, gamma) -> tuple:
+    """The generators of the root space g_gamma, each a tuple of (a, b, x) entries.
+
+    Raises ValueError for an unknown subgroup.
+    """
+    return tuple(gen for root, gen in _root_spaces(rs.n, rs.subgroup) if root == gamma)
+
+
 def gl_roots(n: int) -> RootSystem:
-    """Roots gamma_ij = E_ii - E_jj of gl_n (equal to those of sl_n)."""
+    """Roots gamma_ab = e_a - e_b of gl_n (equal to those of sl_n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    roots = set()
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                entries = [0] * n
-                entries[i], entries[j] = 1, -1
-                roots.add(Vec(entries))
-    return RootSystem(n, frozenset(roots), "gl")
+    return RootSystem(n, frozenset(r for r, _ in _root_spaces(n, "gl")), "gl")
 
 
 def sl_roots(n: int) -> RootSystem:
     rs = gl_roots(n)
     return RootSystem(rs.n, rs.roots, "sl")
-
-
-def _eps_vector(i: int, m: int) -> Vec:
-    # The element of a_omega pairing to the i-th coordinate under the trace form.
-    entries = [Fraction(0)] * (2 * m)
-    entries[i] = Fraction(1, 2)
-    entries[2 * m - 1 - i] = Fraction(-1, 2)
-    return Vec(entries)
 
 
 def sp_diag_roots(m: int) -> RootSystem:
@@ -75,17 +95,7 @@ def sp_diag_roots(m: int) -> RootSystem:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    roots = set()
-    eps = [_eps_vector(i, m) for i in range(m)]
-    for i in range(m):
-        roots.add(2 * eps[i])
-        roots.add(-2 * eps[i])
-    for i in range(m):
-        for j in range(i + 1, m):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    roots.add(si * eps[i] + sj * eps[j])
-    return RootSystem(2 * m, frozenset(roots), "sp")
+    return RootSystem(2 * m, frozenset(r for r, _ in _root_spaces(2 * m, "sp")), "sp")
 
 
 def sp_sign(i: int, m: int) -> int:

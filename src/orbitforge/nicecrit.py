@@ -6,46 +6,24 @@ element is distinguished reduces to exact convex geometry: the minimum-norm
 point beta of the convex hull of its weights must lie in the relative
 interior of that hull.  Equivalently (Gram form), U x = lambda [1..1] must
 have a strictly positive solution, U the Gram matrix of the weights.
+The niceness test applies each root's generators (``lattice.root_space``)
+sparsely, through the backend's action primitive.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from typing import NamedTuple, Optional
 
 from . import _exact, ratgeom
-from .lattice import RootSystem, project_to_sp_diag, sp_sign
+from .lattice import RootSystem, root_space
 from .ratgeom import PointSet, Vec, interior_certificate, mcc
-from .reps import RepVector, apply_terms, support, weight_of
+from .reps import RepVector, SymMatrix, apply_terms, support, weight_of
 
 
-class GramMatrix:
+def gram(weights: PointSet) -> SymMatrix:
     """Symmetric matrix of pairwise inner products of an ordered weight set."""
-
-    def __init__(self, entries):
-        self.entries = tuple(Vec(row) for row in entries)
-        self.size = len(self.entries)
-        for i in range(self.size):
-            if self.entries[i].dim != self.size:
-                raise ValueError("Gram matrix must be square")
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, GramMatrix) and self.entries == other.entries
-
-    def __repr__(self):
-        return "GramMatrix(%r)" % (self.entries,)
-
-
-def gram(weights: PointSet) -> GramMatrix:
-    return GramMatrix([[p.dot(q) for q in weights] for p in weights])
+    return SymMatrix([[p.dot(q) for q in weights] for p in weights])
 
 
 class NiceWitness(NamedTuple):
@@ -71,39 +49,15 @@ def _weight_index_table(backend, roots: RootSystem) -> dict:
     return table
 
 
-def _root_space(roots: RootSystem, gamma: Vec):
-    """Basis (as rational matrices) of the root space g_gamma.
-
-    gl/sl: the E_ab with e_a - e_b = gamma.  sp: M^T J + J M = 0 pairs
-    position (a, b) with (n-1-b, n-1-a) (the same one when b = n-1-a), and
-    each pair with projected root gamma spans E_ab - sgn(a) sgn(b) E_{n-1-b,n-1-a}.
-    """
-    if roots.subgroup not in ("gl", "sl", "sp"):
-        raise ValueError("unknown subgroup %r" % roots.subgroup)
-    n, m, sp = roots.n, roots.n // 2, roots.subgroup == "sp"
-    out = []
-    for a, b in permutations(range(n), 2):
-        e = [0] * n
-        e[a], e[b] = 1, -1
-        root = project_to_sp_diag(e, m) if sp else Vec(e)
-        if root != gamma or (sp and (a, b) > (n - 1 - b, n - 1 - a)):
-            continue
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        mat[a][b] += 1
-        if sp:
-            mat[n - 1 - b][n - 1 - a] -= sp_sign(a, m) * sp_sign(b, m)
-        out.append(mat)
-    return out
-
-
 def is_nice(weights: PointSet, backend, roots: RootSystem):
     """Decide whether the span of all basis vectors with these weights is nice.
 
     Returns (True, None) or (False, NiceWitness).  Fast path: if no pairwise
     weight difference is a root, the span is nice.  Otherwise, for each pair
     (alpha_i, alpha_j) with gamma = alpha_j - alpha_i a root, the image of the
-    alpha_i weight space under every generator of g_gamma must have no
-    component on the span's basis indices.
+    alpha_i weight space under every generator of g_gamma
+    (``lattice.root_space``) must have no component on the span's basis
+    indices.
     """
     if backend.n != roots.n:
         raise ValueError("backend and root system dimensions differ")
@@ -118,14 +72,14 @@ def is_nice(weights: PointSet, backend, roots: RootSystem):
     span_indices = {idx for w in weights for idx in table[w]}
     for wi, wj in pairs:
         gamma = wj - wi
-        for mat in _root_space(roots, gamma):
+        for gen in root_space(roots, gamma):
             for idx in table[wi]:
-                if any(t in span_indices for t in apply_terms(backend, mat, {idx: 1})):
+                if any(t in span_indices for t in apply_terms(backend, gen, {idx: 1})):
                     return False, NiceWitness(wi, wj, gamma)
     return True, None
 
 
-def positive_solution(u: GramMatrix, weights: PointSet):
+def positive_solution(u: SymMatrix, weights: PointSet):
     """Strictly positive x with U x = lambda [1..1], or None.
 
     Solved through convex geometry rather than a direct linear solve (U may

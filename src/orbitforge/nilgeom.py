@@ -22,11 +22,11 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from . import _exact
-from .coeffs import Coeff, IrrationalError
+from .coeffs import Coeff, IrrationalError, json_integer, json_rational
 from .lattice import sp_diag_roots, sp_sign
 from .nicecrit import Verdict, is_distinguished
 from .ratgeom import PointSet, Vec, mcc
-from .reps import (RepVector, SymMatrix, apply_matrix, moment_map_restricted,
+from .reps import (RepVector, SymMatrix, apply_diag, moment_map_restricted,
                    support_projected, weight_masses, weight_of)
 
 
@@ -227,12 +227,17 @@ def verify_minimal(mu: LieBracket, reference_derivation=None) -> MinimalReport:
     Computes mm_sp(mu), compares with mcc of the projected support, and
     reports D = mm_sp + |beta|^2 Id together with the exact derivation check.
     ``reference_derivation`` (diagonal entries) is compared up to a positive
-    rational multiple.  Raises ValueError for odd dimension or the zero
-    bracket.
+    rational multiple.  Raises ValueError for odd dimension, the zero
+    bracket, or a reference without exactly n entries.
     """
     m = mu.n // 2
     if 2 * m != mu.n:
         raise ValueError("symplectic verification needs even dimension")
+    if reference_derivation is not None:
+        ref = [Fraction(x) for x in reference_derivation]
+        if len(ref) != mu.n:
+            raise ValueError("the reference derivation needs %d entries, not %d"
+                             % (mu.n, len(ref)))
     try:
         mm_sp = moment_map_restricted(mu.vector, "sp", m)
     except IrrationalError:
@@ -244,12 +249,10 @@ def verify_minimal(mu: LieBracket, reference_derivation=None) -> MinimalReport:
     critical = mm_sp.diag() == beta
     bns = beta.norm_sq()
     d = mm_sp + SymMatrix.diagonal([bns] * mu.n)
-    dmat = [[d.rows[a][b] for b in range(mu.n)] for a in range(mu.n)]
-    image = apply_matrix(dmat, mu.vector)
-    is_der = image.is_zero()
+    # D is diagonal here, so pi(D) mu scales each term by <weight, diag D>.
+    is_der = apply_diag(d.diag(), mu.vector).is_zero()
     multiple = None
     if reference_derivation is not None:
-        ref = [Fraction(x) for x in reference_derivation]
         ratios = {d.rows[i][i] / r for i, r in enumerate(ref) if r != 0}
         exact = all(d.rows[i][i] == 0 for i, r in enumerate(ref) if r == 0)
         if exact and len(ratios) == 1:
@@ -348,7 +351,7 @@ class TableRowReport(NamedTuple):
     label: str
     passed: bool
     report: MinimalReport
-    dim_aut: Optional[int]
+    dim_aut: int
     expected_beta_norm_sq: Fraction
     expected_dim_aut: int
     mismatches: tuple
@@ -384,14 +387,14 @@ def load_table2_fixture(path: Optional[str] = None) -> dict:
 def bracket_from_fixture_terms(terms, n: int = 6) -> LieBracket:
     items = []
     for t in terms:
-        coeff = Coeff.from_square(Fraction(t["sq"]), t["sign"])
-        items.append(((t["i"] - 1, t["j"] - 1, t["k"] - 1), coeff))
+        coeff = Coeff.from_square(json_rational(t["sq"]), json_integer(t["sign"]))
+        items.append((tuple(json_integer(t[key]) - 1 for key in "ijk"), coeff))
     return LieBracket.from_terms(n, items)
 
 
-def _verify_instance(row: dict, inst: dict, check_dim_aut: bool) -> TableRowReport:
-    expected_bns = Fraction(row["beta_norm_sq"])
-    ref = [Fraction(x) for x in row["derivation_diag"]]
+def _verify_instance(row: dict, inst: dict) -> TableRowReport:
+    expected_bns = json_rational(row["beta_norm_sq"])
+    ref = [json_rational(x) for x in row["derivation_diag"]]
     mu = bracket_from_fixture_terms(inst["terms"])
     mismatches = []
     try:
@@ -412,12 +415,10 @@ def _verify_instance(row: dict, inst: dict, check_dim_aut: bool) -> TableRowRepo
             mismatches.append(("derivation_multiple",
                                rep.derivation.diag() if rep.derivation else None,
                                tuple(ref)))
-    dim_aut = None
     expected_dim = inst.get("dim_aut", row["dim_aut"])
-    if check_dim_aut:
-        dim_aut = sym_derivation_dim(mu)
-        if dim_aut != expected_dim:
-            mismatches.append(("dim_aut", dim_aut, expected_dim))
+    dim_aut = sym_derivation_dim(mu)
+    if dim_aut != expected_dim:
+        mismatches.append(("dim_aut", dim_aut, expected_dim))
     return TableRowReport(row["name"], inst["label"], not mismatches,
                           rep, dim_aut, expected_bns, expected_dim,
                           tuple(mismatches))
@@ -427,8 +428,7 @@ def _row_key(name: str) -> str:
     return name.replace(".", "").replace("(", "").replace(")", "").lower()
 
 
-def run_table2(path: Optional[str] = None, check_dim_aut: bool = True,
-               row: Optional[str] = None):
+def run_table2(path: Optional[str] = None, row: Optional[str] = None):
     """Re-verify the table; returns a list of TableRowReport, one per instance.
 
     ``row`` restricts the check to the rows whose name contains it, ignoring
@@ -439,5 +439,4 @@ def run_table2(path: Optional[str] = None, check_dim_aut: bool = True,
     rows = fixture["rows"]
     if row is not None:
         rows = [r for r in rows if _row_key(row) in _row_key(r["name"])]
-    return [_verify_instance(r, inst, check_dim_aut)
-            for r in rows for inst in r["instances"]]
+    return [_verify_instance(r, inst) for r in rows for inst in r["instances"]]

@@ -12,8 +12,10 @@ Two concrete GL_n(R)-representations are supported:
 
 Each backend has one action primitive, ``act(a, b, idx)``: pi(E_ab) on one
 basis index, as at most three (index, integer factor) pairs.  The sparse
-``apply_terms``, the group actions built on it and the closed-form moment map
-mm_ab = <pi(E_ab)v, v> / |v|^2 use nothing else of the action.
+``apply_terms``, which takes a matrix as its nonzero (a, b, x) entries (the
+form of ``lattice.root_space``'s generators), the group actions built on it
+and the closed-form moment map mm_ab = <pi(E_ab)v, v> / |v|^2 use nothing
+else of the action.
 
 ``weight_of(backend, idx, m)`` is the weight of one basis index, projected to
 the sp(2m) diagonal when m is given; ``weight_masses(v, m)`` maps each distinct
@@ -56,6 +58,10 @@ class SymMatrix:
     def diagonal(cls, entries) -> "SymMatrix":
         d = Vec(entries)
         return cls([[d[i] if i == j else 0 for j in range(d.dim)] for i in range(d.dim)])
+
+    def __getitem__(self, ij) -> Fraction:
+        i, j = ij
+        return self.rows[i][j]
 
     def diag(self) -> Vec:
         return Vec(self.rows[i][i] for i in range(self.n))
@@ -309,20 +315,14 @@ def apply_diag(x, v: RepVector) -> RepVector:
     return RepVector(v.backend, out)
 
 
-def elementary_matrix(n: int, i: int, j: int):
-    return [[Fraction(1) if (a, b) == (i, j) else Fraction(0) for b in range(n)]
-            for a in range(n)]
-
-
-def apply_terms(backend, matrix, terms: dict) -> dict:
+def apply_terms(backend, entries, terms: dict) -> dict:
     """pi(M) on a sparse map basis index -> coefficient, through ``backend.act``.
 
-    Coefficients and matrix entries may be Coeff, Fraction or float; their
-    products set the scalar type of the result.  Coeff images of distinct
-    radicands that meet on one index raise IrrationalError.
+    M is given by its nonzero entries, as (a, b, x) triples.  Coefficients and
+    entries may be Coeff, Fraction, int or float; their products set the
+    scalar type of the result.  Coeff images of distinct radicands that meet
+    on one index raise IrrationalError.
     """
-    entries = [(a, b, x) for a, row in enumerate(matrix)
-               for b, x in enumerate(row) if x != 0]
     out: dict = {}
     for idx, c in terms.items():
         for a, b, x in entries:
@@ -332,15 +332,21 @@ def apply_terms(backend, matrix, terms: dict) -> dict:
 
 
 def apply_elementary(i: int, j: int, v: RepVector) -> RepVector:
-    """pi(E_ij) v (i == j allowed: the diagonal generator)."""
-    mat = elementary_matrix(v.backend.n, i, j)
-    return RepVector(v.backend, apply_terms(v.backend, mat, v.terms))
+    """pi(E_ij) v (i == j allowed: the diagonal generator).
+
+    Raises ValueError unless 0 <= i, j < n.
+    """
+    n = v.backend.n
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError("E_(%d,%d) is not an entry of an %d x %d matrix" % (i, j, n, n))
+    return RepVector(v.backend, apply_terms(v.backend, ((i, j, 1),), v.terms))
 
 
 def apply_matrix(matrix, v: RepVector) -> RepVector:
     """pi(M) v for an arbitrary rational matrix M."""
-    mat = [[Fraction(x) for x in row] for row in matrix]
-    return RepVector(v.backend, apply_terms(v.backend, mat, v.terms))
+    entries = [(a, b, x) for a, row in enumerate(matrix)
+               for b, x in enumerate(map(Fraction, row)) if x]
+    return RepVector(v.backend, apply_terms(v.backend, entries, v.terms))
 
 
 def group_scale(multipliers, v: RepVector) -> RepVector:

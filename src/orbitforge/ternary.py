@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .lattice import chamber_canonical, gl_roots
 from .nicecrit import CriticalFamily, critical_coefficients, is_nice
@@ -41,11 +41,11 @@ def stratifying_set(d: int, n: int = 3) -> list[Vec]:
     return sorted(out, key=lambda v: (-v.norm_sq(), v))
 
 
-def omega_weights(beta, d: int, n: int = 3) -> PointSet:
-    """All weights alpha of R[x..]_d with <alpha, beta> = |beta|^2."""
+def omega_weights(beta, d: int) -> PointSet:
+    """All weights alpha of R[x..]_d with <alpha, beta> = |beta|^2, n = dim beta."""
     beta = Vec(beta)
     target = beta.norm_sq()
-    hits = [w for w in _all_weights(n, d) if w.dot(beta) == target]
+    hits = [w for w in _all_weights(beta.dim, d) if w.dot(beta) == target]
     if not hits:
         raise ValueError("no weight lies on the hyperplane of %r" % (beta,))
     return PointSet(hits)
@@ -78,19 +78,19 @@ def _maximal_independent_sets(n: int, edges) -> list[list[int]]:
     return out
 
 
-def maximal_nice_subsets(weights: PointSet, n: int = 3, d: Optional[int] = None):
+def maximal_nice_subsets(weights: PointSet):
     """Maximal subsets whose monomial span is nice, as PointSets.
 
-    For monomial spans niceness is pairwise (no weight difference a root), so
-    these are the maximal independent sets of the root-difference graph; each
-    candidate is confirmed with the full perpendicularity check.
+    The weights are those of R[x_1..x_n]_d, n their dimension and d minus the
+    sum of any one.  For monomial spans niceness is pairwise (no weight
+    difference a root), so these are the maximal independent sets of the
+    root-difference graph; each candidate is confirmed with the full
+    perpendicularity check.
     """
-    roots = gl_roots(n)
+    roots = gl_roots(weights.dim)
     edges = [(i, j) for i in range(len(weights)) for j in range(i + 1, len(weights))
              if (weights[i] - weights[j]) in roots]
-    if d is None:
-        d = -sum(weights[0], start=0)
-    backend = PolyBackend(n, int(d))
+    backend = PolyBackend(weights.dim, int(-sum(weights[0])))
     out = []
     for indep in _maximal_independent_sets(len(weights), edges):
         subset = PointSet([weights[i] for i in indep])
@@ -206,22 +206,22 @@ def verify_table1() -> list[Table1RowReport]:
     return reports
 
 
-def classify(d: int = 4, n: int = 3) -> list[Stratum]:
-    """Stratum-by-stratum critical coefficients for R[x..]_d.
+def classify(d: int = 4) -> list[Stratum]:
+    """Stratum-by-stratum critical coefficients for ternary forms R[x,y,z]_d.
 
     Covers the stratifying set plus, for d = 4, the excluded label
     (-3,-1/2,-1/2) whose candidate pair is root-related; its report is the
     emptiness statement.
     """
-    backend = PolyBackend(n, d)
-    labels = list(stratifying_set(d, n))
-    if (n, d) == (3, 4):
+    backend = PolyBackend(3, d)
+    labels = list(stratifying_set(d))
+    if d == 4:
         labels.append(chamber_canonical(Vec([-3, Fraction(-1, 2), Fraction(-1, 2)])))
     out = []
     for beta in labels:
-        omega = omega_weights(beta, d, n)
+        omega = omega_weights(beta, d)
         families = []
-        for subset in maximal_nice_subsets(omega, n, d):
+        for subset in maximal_nice_subsets(omega):
             norms = [backend.basis_norm_sq(tuple(int(-x) for x in w)) for w in subset]
             fam = critical_coefficients(subset, norms, beta)
             if fam is not None:

@@ -87,3 +87,10 @@ def test_elementary_images_of_single_basis_vectors():
     assert apply_elementary(2, 2, mu).terms == {(0, 1, 2): 1}
     assert apply_elementary(0, 0, mu).terms == {(0, 1, 2): -1}
     assert apply_elementary(0, 0, RepVector.bracket(3, [((0, 1, 0), 1)])).is_zero()
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+def test_elementary_indices_outside_the_matrix_are_refused(i, j):
+    # A negative index would otherwise act as i + n.
+    with pytest.raises(ValueError, match="not an entry"):
+        apply_elementary(i, j, RepVector.poly(3, 3, [((2, 1, 0), 1)]))

@@ -135,6 +135,14 @@ BAD_TERMS = {
     "fractional_index": [{"i": 1.5, "j": 2, "k": 3, "coeff": "1"}],
     "boolean_index": [{"i": True, "j": 2, "k": 3, "coeff": "1"}],
     "fractional_sign": [{"i": 1, "j": 2, "k": 3, "coeff": {"sq": "1", "sign": 1.5}}],
+    # Rationals are strings or integers: a float would be read as its binary
+    # value (0.1 is not 1/10), and 1e400 parses to an infinite float.
+    "float_coeff": [{"exponents": [1, 3, 0], "coeff": 0.1}],
+    "overflowing_coeff": '[{"exponents": [1, 3, 0], "coeff": 1e400}]',
+    "boolean_coeff": [{"exponents": [1, 3, 0], "coeff": True}],
+    "float_sq": [{"i": 1, "j": 2, "k": 3, "coeff": {"sq": 0.5, "sign": 1}}],
+    "overflowing_sq": '[{"i": 1, "j": 2, "k": 3, "coeff": {"sq": 1e400}}]',
+    "boolean_sign": [{"i": 1, "j": 2, "k": 3, "coeff": {"sq": "1", "sign": True}}],
 }
 
 
@@ -142,7 +150,8 @@ BAD_TERMS = {
 @pytest.mark.parametrize("name", sorted(BAD_TERMS))
 def test_bad_terms_are_one_line_errors(runner, tmp_path, command, name):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(BAD_TERMS[name]))
+    terms = BAD_TERMS[name]  # a string is raw JSON text
+    path.write_text(terms if isinstance(terms, str) else json.dumps(terms))
     res = runner.invoke(main, [command, "--input", str(path)])
     assert res.exit_code == 1
     assert not isinstance(res.exception, (ValueError, KeyError, TypeError))
@@ -285,6 +294,22 @@ def test_table2_failing_fixture_rows_are_json(runner, tmp_path, name):
         assert row["mm_sp"] is row["derivation"] is row["beta_norm_sq"] is None
 
 
+def _worked_row_text(old, new):
+    """The passing fixture row of the worked bracket, as JSON text with one edit."""
+    row = _fixture_row("x", [(1, 4, 6, "1"), (2, 3, 5, "1")])
+    row["rows"][0]["derivation_diag"] = [1, 1, 2, 2, 3, 3]
+    text = json.dumps(row)
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+def test_table2_worked_fixture_row_passes(runner, tmp_path):
+    path = tmp_path / "fixtures.json"
+    path.write_text(_worked_row_text("", ""))
+    res = _invoke(runner, ["table2", "--fixtures", str(path)])
+    assert json.loads(res.output)["passed"]
+
+
 BAD_FIXTURES = {
     "not_json": '{"rows": [',
     "not_a_table": "[1,2]",
@@ -293,6 +318,15 @@ BAD_FIXTURES = {
                    "instances": [{"label": "x", "terms": [
                        {"i": 1, "j": 2, "k": 5, "sq": "1", "sign": 1}]}]}]}),
     "zero_bracket": json.dumps(_fixture_row("x", [])),
+    "float_sq": _worked_row_text('"sq": "1"', '"sq": 0.1'),
+    "overflowing_sq": _worked_row_text('"sq": "1"', '"sq": 1e400'),
+    "boolean_sq": _worked_row_text('"sq": "1"', '"sq": true'),
+    "boolean_sign": _worked_row_text('"sign": 1', '"sign": true'),
+    "float_beta_norm_sq": _worked_row_text('"beta_norm_sq": "1"', '"beta_norm_sq": 1.0'),
+    "float_derivation_diag": _worked_row_text('[1, 1, 2,', '[0.5, 0.5, 1,'),
+    # A reference derivation has one entry per basis vector of the 6-dim row.
+    "long_derivation_diag": _worked_row_text('[1, 1, 2, 2, 3, 3]', '[1, 1, 2, 2, 3, 3, 4, 4]'),
+    "short_derivation_diag": _worked_row_text('[1, 1, 2, 2, 3, 3]', '[1, 1, 2]'),
 }
 
 

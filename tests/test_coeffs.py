@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from orbitforge.coeffs import Coeff, IrrationalError, _square_free_split
+from orbitforge.coeffs import (Coeff, IrrationalError, _square_free_split, json_integer,
+                              json_rational)
 
 
 def test_square_free_split():
@@ -67,3 +68,15 @@ def test_equality_and_hash():
     assert hash(Coeff(2, 2)) == hash(Coeff(1, 8))
     assert Coeff(0) == 0
     assert Coeff(1, 2) != Coeff(1, 3)
+
+
+def test_json_rationals_are_strings_or_integers():
+    assert json_rational("-3/4") == Fraction(-3, 4)
+    assert json_rational(5) == 5 and json_rational("1e3") == 1000
+    for bad in (0.1, 1.0, float("inf"), True, None, [1]):
+        with pytest.raises(ValueError, match="not a rational string or an integer"):
+            json_rational(bad)
+    assert json_integer(-1) == -1
+    for bad in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            json_integer(bad)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from orbitforge.lattice import (RootSystem, chamber_canonical, gl_roots,
-                                is_root_difference, project_to_sp_diag,
+                                is_root_difference, project_to_sp_diag, root_space,
                                 sl_roots, sp_chamber_canonical, sp_diag_roots)
 from orbitforge.ratgeom import Vec
 
@@ -73,3 +73,41 @@ def test_root_system_validation():
         RootSystem(2, frozenset({Vec([1, -1])}), "gl")  # not negation-closed
     with pytest.raises(ValueError):
         RootSystem(2, frozenset({Vec([0, 0])}), "gl")
+
+
+def _eps_roots(m):
+    """The sp(2m) roots +-2 eps_i and +-eps_i +- eps_j (i < j), eps_i the
+    element of the diagonal patterns pairing to the i-th coordinate."""
+    eps = []
+    for i in range(m):
+        entries = [Fraction(0)] * (2 * m)
+        entries[i], entries[2 * m - 1 - i] = Fraction(1, 2), Fraction(-1, 2)
+        eps.append(Vec(entries))
+    roots = {s * 2 * e for e in eps for s in (1, -1)}
+    for i in range(m):
+        for j in range(i + 1, m):
+            roots |= {si * eps[i] + sj * eps[j] for si in (1, -1) for sj in (1, -1)}
+    return frozenset(roots)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_sp_roots_match_the_eps_formula(m):
+    assert sp_diag_roots(m).roots == _eps_roots(m)
+
+
+@pytest.mark.parametrize("rs", [gl_roots(1), gl_roots(3), sl_roots(4)],
+                         ids=["gl1", "gl3", "sl4"])
+def test_gl_root_spaces_are_the_elementary_matrices(rs):
+    n = rs.n
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                gamma = Vec([int(t == a) - int(t == b) for t in range(n)])
+                assert root_space(rs, gamma) == (((a, b, 1),),)
+    assert root_space(rs, Vec([1] + [0] * (n - 1))) == ()
+
+
+def test_root_space_rejects_an_unknown_subgroup():
+    rs = RootSystem(2, gl_roots(2).roots, "so")
+    with pytest.raises(ValueError, match="unknown subgroup"):
+        root_space(rs, Vec([1, -1]))

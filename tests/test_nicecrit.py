@@ -5,10 +5,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from orbitforge import _exact
-from orbitforge.lattice import gl_roots, project_to_sp_diag, sp_diag_roots
-from orbitforge.nicecrit import (_root_space, critical_coefficients, gram,
-                                 is_distinguished, is_nice, positive_solution,
-                                 stratum_label)
+from orbitforge.lattice import gl_roots, project_to_sp_diag, root_space, sp_diag_roots
+from orbitforge.nicecrit import (critical_coefficients, gram, is_distinguished,
+                                 is_nice, positive_solution, stratum_label)
 from orbitforge.ratgeom import PointSet, Vec, in_relative_interior, mcc
 from orbitforge.reps import (PolyBackend, RepVector, apply_elementary,
                              support_projected)
@@ -157,6 +156,13 @@ def test_critical_coefficients_empty():
                                  + Vec([0, -4, 0]) * Fraction(0)) is None
 
 
+def _dense(entries, n):
+    mat = [[0] * n for _ in range(n)]
+    for a, b, x in entries:
+        mat[a][b] += x
+    return mat
+
+
 def test_sp_root_space_closed_form_spans_the_symplectic_solutions():
     # Against the linear system M^T J + J M = 0 on the matrices supported on
     # the gl positions (a, b) whose projected root is gamma.
@@ -173,7 +179,7 @@ def test_sp_root_space_closed_form_spans_the_symplectic_solutions():
             system = [[int(r == q) * jmat[p][c] + jmat[r][p] * int(c == q)
                        for (p, q) in positions] for r in range(n) for c in range(n)]
             nullity = len(positions) - _exact.rank(system)
-            gens = _root_space(roots, gamma)
+            gens = [_dense(g, n) for g in root_space(roots, gamma)]
             assert len(gens) == nullity > 0
             assert _exact.rank([[x for row in g for x in row] for g in gens]) == nullity
             for g in gens:

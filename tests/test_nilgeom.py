@@ -174,7 +174,7 @@ def test_fixture_round_trip():
 
 
 def test_run_table2_single_rows():
-    reports = run_table2(check_dim_aut=False)
+    reports = run_table2()
     by_label = {r.label: r for r in reports}
     assert by_label["16.(a)"].passed
     assert by_label["25."].passed
@@ -205,3 +205,11 @@ def test_moment_map_radicand_parts_cancel_under_projection():
     with pytest.raises(IrrationalError):
         moment_map(v)
     assert moment_map_restricted(v, "sp", 3).is_diagonal()
+
+
+@pytest.mark.parametrize("length", [3, 8])
+def test_verify_minimal_reference_needs_one_entry_per_dimension(length):
+    # The first three entries alone agree with D up to the multiple 1/2.
+    reference = [1, 1, 2, 2, 3, 3, 4, 4][:length]
+    with pytest.raises(ValueError, match="needs 6 entries, not %d" % length):
+        verify_minimal(_double_heisenberg(), reference_derivation=reference)

@@ -151,3 +151,16 @@ def test_maximal_independent_sets_match_brute_force(graph):
     got = _maximal_independent_sets(n, edges)
     assert sorted(got) == maximal
     assert len({tuple(s) for s in got}) == len(got)
+
+
+@pytest.mark.parametrize("n, d", [(2, 4), (4, 3)])
+def test_omega_and_nice_subsets_read_n_and_d_from_their_weights(n, d):
+    roots = gl_roots(n)
+    weights = {PolyBackend(n, d).weight(idx) for idx in PolyBackend(n, d).all_indices()}
+    for beta in stratifying_set(d, n):
+        omega = omega_weights(beta, d)
+        assert omega.as_set() <= weights
+        subsets = maximal_nice_subsets(omega)
+        assert set().union(*(s.as_set() for s in subsets)) == omega.as_set()
+        for s in subsets:
+            assert all((a - b) not in roots for a, b in combinations(s, 2))
