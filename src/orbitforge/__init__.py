@@ -6,10 +6,10 @@ Subpackages of functionality:
 * ``lattice``  -- root systems and diagonal subalgebras (gl, sl, sp)
 * ``coeffs``   -- r*sqrt(s) exact coefficients
 * ``reps``     -- n-ary form and Lie bracket representations, weights, moment maps
-* ``nicecrit`` -- nice spaces, Gram criterion, distinguished-orbit verdicts
+* ``nicecrit`` -- nice spaces, distinguished-orbit verdicts, critical coefficients
 * ``flow``     -- binary64 Newton solver for the moment equation
 * ``ternary``  -- strata of ternary forms, degree-4 classification
-* ``nilgeom``  -- nilpotent brackets, Ricci, minimal compatible metrics
+* ``nilgeom``  -- nilpotent brackets, minimal compatible metrics
 """
 
 __version__ = "0.1.0"

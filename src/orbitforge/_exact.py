@@ -66,12 +66,10 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Row]:
     return x
 
 
-def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[Row]:
+def nullspace(rows: Sequence[Sequence]) -> list[Row]:
     """Basis of the kernel of A as a list of vectors."""
     if not rows:
-        return [] if not ncols else [
-            [Fraction(1 if i == j else 0) for i in range(ncols)] for j in range(ncols)
-        ]
+        return []
     red, pivots = rref(rows)
     n = len(rows[0])
     free = [c for c in range(n) if c not in pivots]

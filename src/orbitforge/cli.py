@@ -51,6 +51,14 @@ def float_str(x: float) -> str:
     return format(x, ".17g")
 
 
+def _witness_json(witness):
+    """A NiceWitness as {"alpha_i", "alpha_j", "root"}, or None."""
+    if witness is None:
+        return None
+    return {"alpha_i": vec_strs(witness.alpha_i), "alpha_j": vec_strs(witness.alpha_j),
+            "root": vec_strs(witness.root)}
+
+
 def emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
@@ -207,11 +215,7 @@ def check(path, group, paper_signs):
         "beta": vec_strs(beta) if beta is not None else None,
         "certificate": (vec_strs(verdict.certificate)
                         if verdict.certificate is not None else None),
-        "witness": (None if verdict.witness is None else {
-            "alpha_i": vec_strs(verdict.witness.alpha_i),
-            "alpha_j": vec_strs(verdict.witness.alpha_j),
-            "root": vec_strs(verdict.witness.root),
-        }),
+        "witness": _witness_json(verdict.witness),
     }
     emit_json(payload)
 
@@ -319,11 +323,7 @@ def minimize(path):
     except NotDistinguishedError as exc:
         payload = {"command": "minimize", "outcome": exc.verdict.outcome}
         if exc.verdict.witness is not None:
-            payload["witness"] = {
-                "alpha_i": vec_strs(exc.verdict.witness.alpha_i),
-                "alpha_j": vec_strs(exc.verdict.witness.alpha_j),
-                "root": vec_strs(exc.verdict.witness.root),
-            }
+            payload["witness"] = _witness_json(exc.verdict.witness)
         emit_json(payload)
         return
     emit_json({

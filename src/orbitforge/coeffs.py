@@ -4,17 +4,18 @@ Critical vectors routinely have square-root coefficients (e.g. sqrt(1/7)).
 Every quantity the criteria need (norms, Gram data, moment maps) is quadratic
 in the coefficients, so a single radical per coefficient keeps the whole
 pipeline rational: ``Coeff`` stores r * sqrt(s) with r rational and s a
-squarefree positive integer.  Products fold radicands together and collapse
-perfect squares; sums are only defined within one radicand, and a sum of
-distinct radicands raises ``IrrationalError``.  ``json_rational`` and
-``json_integer`` are the one rule by which input and fixture files give
-these numbers: rationals as strings or integers, signs as integers.
+squarefree positive integer.  Only a ``Coeff`` made from a rational radicand
+factors it; products fold two squarefree radicands with one gcd.  Sums are
+only defined within one radicand, and a sum of distinct radicands raises
+``IrrationalError``.  ``json_rational`` and ``json_integer`` are the one rule
+by which input and fixture files give these numbers: rationals as strings or
+integers, signs as integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd
 from typing import Union
 
 CoeffLike = Union["Coeff", Fraction, int, str]
@@ -33,6 +34,29 @@ def _square_free_split(n: int) -> tuple[int, int]:
             m *= d
         d += 1
     return k, m * n
+
+
+def fold_radicands(s1: int, s2: int) -> tuple[int, int]:
+    """(g, m) with sqrt(s1 s2) = g sqrt(m) for squarefree s1, s2: g = gcd(s1, s2)."""
+    g = gcd(s1, s2)
+    return g, (s1 // g) * (s2 // g)
+
+
+def coprime_base(radicands) -> list[int]:
+    """Pairwise-coprime integers > 1 of which each squarefree radicand is a product.
+
+    Factor refinement with gcds alone: g = gcd(s, b) splits the base element b
+    into g and b/g, and s goes on as s/g; squarefree s keeps the parts coprime.
+    """
+    base: list = []
+    for s in radicands:
+        refined = []
+        for b in base:
+            g = gcd(s, b)
+            s //= g
+            refined += [g, b // g]
+        base = [b for b in refined + [s] if b > 1]
+    return sorted(base)
 
 
 def json_integer(x) -> int:
@@ -82,6 +106,13 @@ class Coeff:
         self.s = m
 
     @classmethod
+    def _normal(cls, r: Fraction, s: int) -> "Coeff":
+        """r * sqrt(s) for a radicand s that is already squarefree: no factoring."""
+        c = object.__new__(cls)
+        c.r, c.s = r, (s if r else 1)
+        return c
+
+    @classmethod
     def from_square(cls, square, sign: int = 1) -> "Coeff":
         """The number sign * sqrt(square), square a positive rational."""
         if sign not in (1, -1):
@@ -90,9 +121,6 @@ class Coeff:
 
     def is_zero(self) -> bool:
         return self.r == 0
-
-    def is_rational(self) -> bool:
-        return self.s == 1
 
     def rational(self) -> Fraction:
         if self.s != 1:
@@ -103,7 +131,7 @@ class Coeff:
         return self.r * self.r * self.s
 
     def __neg__(self):
-        return Coeff(-self.r, self.s)
+        return Coeff._normal(-self.r, self.s)
 
     def __add__(self, other):
         other = Coeff(other)
@@ -114,14 +142,15 @@ class Coeff:
         if self.s != other.s:
             raise IrrationalError("cannot add mixed radicands sqrt(%d), sqrt(%d)"
                                   % (self.s, other.s))
-        return Coeff(self.r + other.r, self.s)
+        return Coeff._normal(self.r + other.r, self.s)
 
     def __sub__(self, other):
         return self + (-Coeff(other))
 
     def __mul__(self, other):
         other = Coeff(other)
-        return Coeff(self.r * other.r, Fraction(self.s * other.s))
+        g, s = fold_radicands(self.s, other.s)
+        return Coeff._normal(self.r * other.r * g, s)
 
     __rmul__ = __mul__
     __radd__ = __add__

@@ -12,8 +12,6 @@ their span, whose basis is computed exactly and orthonormalized in binary64.
 Everything runs on plain Python floats: the search space has at most n - 1
 dimensions, and a small Cholesky factorization solves each Newton system.
 The weights and their class masses come from ``reps.weight_masses``.
-``scale_by_diag`` and ``moment_map_float`` move a vector by a solution and
-read its moment map, so that a solution can be checked.
 """
 
 from __future__ import annotations
@@ -22,36 +20,12 @@ from math import exp, log
 from typing import NamedTuple
 
 from . import _exact
-from .ratgeom import PointSet, Vec, in_relative_interior, mcc
-from .reps import RepVector, moment_parts, weight_masses
+from .ratgeom import PointSet, Vec, interior_certificate, mcc
+from .reps import RepVector, weight_masses
 
 ARMIJO = 1e-4
 NEWTON_TOL = 1e-12
 MAX_ITERS = 50
-
-
-class FloatVector:
-    """A RepVector's terms with float coefficients, as moved by ``scale_by_diag``."""
-
-    def __init__(self, backend, terms: dict):
-        self.backend = backend
-        self.terms = {idx: float(c) for idx, c in terms.items() if float(c) != 0.0}
-
-    @classmethod
-    def from_rep(cls, v: RepVector) -> "FloatVector":
-        return cls(v.backend, v.terms)
-
-    def norm_sq(self) -> float:
-        return sum(c * c * float(self.backend.basis_norm_sq(idx))
-                   for idx, c in self.terms.items())
-
-    def scale(self, factor: float) -> "FloatVector":
-        return FloatVector(self.backend, {i: c * factor for i, c in self.terms.items()})
-
-
-def moment_map_float(v: FloatVector):
-    """Moment map of a float vector, as an n x n list-of-lists matrix."""
-    return moment_parts(v.backend, v.terms, v.norm_sq())[1]
 
 
 def _dot(u, v) -> float:
@@ -124,7 +98,7 @@ def solve_moment_equation(w: RepVector, beta, subgroup: str = "gl") -> NewtonRes
     sup = PointSet(masses)
     if mcc(sup) != beta:
         raise ValueError("beta is not the mcc of the support")
-    if not in_relative_interior(sup, beta):
+    if interior_certificate(sup, beta) is None:
         raise ValueError("beta is not in the relative interior: no solution")
     alphas = sorted(masses)
     c0 = [float(masses[a]) for a in alphas]
@@ -182,13 +156,3 @@ def solve_moment_equation(w: RepVector, beta, subgroup: str = "gl") -> NewtonRes
 
     x = [sum((zk * q[i] for zk, q in zip(z, basis)), 0.0) for i in range(n)]
     return NewtonResult(tuple(x), res, iters, psd_ok, tuple(tuple(q) for q in basis))
-
-
-def scale_by_diag(x, v) -> FloatVector:
-    """exp(diag(x)).v in float arithmetic (weight-alpha term scales by e^<x,alpha>)."""
-    fv = v if isinstance(v, FloatVector) else FloatVector.from_rep(v)
-    out = {}
-    for idx, c in fv.terms.items():
-        alpha = fv.backend.weight(idx)
-        out[idx] = c * exp(sum(float(a) * float(t) for a, t in zip(alpha, x)))
-    return FloatVector(fv.backend, out)

@@ -115,17 +115,3 @@ def project_to_sp_diag(w, m: int) -> Vec:
 def chamber_canonical(w) -> Vec:
     """Weyl-chamber representative: coordinates sorted ascending."""
     return Vec(sorted(Vec(w)))
-
-
-def sp_chamber_canonical(w, m: int) -> Vec:
-    """Canonical form under the sp Weyl group (permute and flip eps signs)."""
-    w = Vec(w)
-    if w != project_to_sp_diag(w, m):
-        raise ValueError("vector is not an sp diagonal pattern")
-    half = sorted((abs(w[i]) for i in range(m)), reverse=True)
-    return Vec([-h for h in half] + [h for h in reversed(half)])
-
-
-def is_root_difference(a, b, rs: RootSystem) -> bool:
-    """True iff a - b is a root of ``rs``."""
-    return (Vec(a) - Vec(b)) in rs

@@ -4,10 +4,8 @@ A subspace spanned by weight vectors is "nice" when the moment map sends all
 of it into the diagonal subalgebra; on a nice space, whether the orbit of an
 element is distinguished reduces to exact convex geometry: the minimum-norm
 point beta of the convex hull of its weights must lie in the relative
-interior of that hull.  Equivalently (Gram form), U x = lambda [1..1] must
-have a strictly positive solution, U the Gram matrix of the weights.
-The niceness test applies each root's generators (``lattice.root_space``)
-sparsely, through the backend's action primitive.
+interior of that hull.  The niceness test applies each root's generators
+(``lattice.root_space``) sparsely, through the backend's action primitive.
 """
 
 from __future__ import annotations
@@ -18,12 +16,7 @@ from typing import NamedTuple, Optional
 from . import _exact, ratgeom
 from .lattice import RootSystem, root_space
 from .ratgeom import PointSet, Vec, interior_certificate, mcc
-from .reps import RepVector, SymMatrix, apply_terms, support, weight_of
-
-
-def gram(weights: PointSet) -> SymMatrix:
-    """Symmetric matrix of pairwise inner products of an ordered weight set."""
-    return SymMatrix([[p.dot(q) for q in weights] for p in weights])
+from .reps import apply_terms, weight_of
 
 
 class NiceWitness(NamedTuple):
@@ -77,32 +70,6 @@ def is_nice(weights: PointSet, backend, roots: RootSystem):
                 if any(t in span_indices for t in apply_terms(backend, gen, {idx: 1})):
                     return False, NiceWitness(wi, wj, gamma)
     return True, None
-
-
-def positive_solution(u: SymMatrix, weights: PointSet):
-    """Strictly positive x with U x = lambda [1..1], or None.
-
-    Solved through convex geometry rather than a direct linear solve (U may
-    be singular): beta = mcc(weights) and a strict relative-interior
-    certificate for beta.  Returns (x, lambda) with sum x = 1 and
-    lambda = |beta|^2.
-    """
-    if u != gram(weights):
-        raise ValueError("Gram matrix does not match the weight set")
-    beta = mcc(weights)
-    cert = interior_certificate(weights, beta)
-    if cert is None:
-        return None
-    lam = beta.norm_sq()
-    for p in range(len(weights)):
-        if sum(u[p, q] * cert[q] for q in range(len(weights))) != lam:
-            raise AssertionError("certificate fails the Gram equation")
-    return cert, lam
-
-
-def stratum_label(v: RepVector) -> Vec:
-    """beta_v = mcc of the support weights."""
-    return mcc(support(v))
 
 
 def is_distinguished(weights: PointSet, backend, roots: RootSystem) -> Verdict:

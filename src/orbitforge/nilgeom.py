@@ -1,8 +1,7 @@
-"""Nilpotent Lie brackets, Ricci curvature, and minimal compatible metrics.
+"""Nilpotent Lie brackets and minimal compatible metrics.
 
 A bracket on R^n is an element of the bracket representation; this module
-validates the Lie axioms, computes the Ricci operator of the associated
-left-invariant metric, and decides existence of a minimal metric compatible
+validates the Lie axioms and decides existence of a minimal metric compatible
 with the antidiagonal symplectic structure on R^{2m}: such a metric exists
 exactly when the Sp(2m,R)-orbit of the bracket is distinguished, and the
 witnessing critical bracket satisfies
@@ -22,7 +21,8 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from . import _exact
-from .coeffs import Coeff, IrrationalError, json_integer, json_rational
+from .coeffs import (Coeff, IrrationalError, coprime_base, fold_radicands, json_integer,
+                     json_rational)
 from .lattice import sp_diag_roots, sp_sign
 from .nicecrit import Verdict, is_distinguished
 from .ratgeom import PointSet, Vec, mcc
@@ -66,38 +66,28 @@ class ValidationError(Exception):
         self.kind, self.witness = kind, witness
 
 
-def _prime_factors(s: int) -> list[int]:
-    """Primes dividing the squarefree positive integer s."""
-    out, d = [], 2
-    while d * d <= s:
-        if s % d == 0:
-            out.append(d)
-            s //= d
-        d += 1
-    return out + [s] if s > 1 else out
-
-
 class _RadicalField:
-    """K = Q(sqrt p : p a prime dividing some radicand), as a vector space over Q.
+    """K = Q(sqrt b : b in ``coeffs.coprime_base`` of the radicands), over Q.
 
-    The basis is {sqrt d : d a squarefree product of those primes}, so K has
-    degree 2^(number of primes).  A K-linear problem becomes a rational one
-    ``degree`` times its size (restriction of scalars); with no primes the
-    degree is 1 and nothing changes.
+    No radicand is factored: each is squarefree, hence the product of the
+    base elements dividing it.  The basis is {sqrt d : d a product of base
+    elements}, so K has degree 2^(size of the base), and sqrt 6 alone gives
+    degree 2.  A K-linear problem becomes a rational one ``degree`` times its
+    size (restriction of scalars); with an empty base the degree is 1 and
+    nothing changes.
     """
 
     def __init__(self, radicands):
-        primes = sorted({p for s in radicands for p in _prime_factors(s)})
         self.basis = [1]
-        for p in primes:
-            self.basis += [d * p for d in self.basis]
+        for b in coprime_base(radicands):
+            self.basis += [d * b for d in self.basis]
         self.degree = len(self.basis)
         self._pos = {d: u for u, d in enumerate(self.basis)}
 
-    def times_basis(self, c: Coeff, u: int) -> tuple[int, Fraction]:
-        """c * sqrt(basis[u]) as (v, r), meaning r * sqrt(basis[v])."""
-        prod = c * Coeff(1, self.basis[u])
-        return self._pos[prod.s], prod.r
+    def times_basis(self, r, s: int, u: int) -> tuple[int, Fraction]:
+        """r sqrt(s) * sqrt(basis[u]) as (v, x), meaning x * sqrt(basis[v])."""
+        g, m = fold_radicands(s, self.basis[u])
+        return self._pos[m], r * g
 
 
 def _rational_form(mu: LieBracket) -> tuple[LieBracket, _RadicalField]:
@@ -109,8 +99,9 @@ def _rational_form(mu: LieBracket) -> tuple[LieBracket, _RadicalField]:
     terms = mu.vector.sorted_terms()
     if not terms:
         return mu, _RadicalField(())
-    unit = Coeff.from_square(Fraction(1, terms[0][1].s))
-    scaled = LieBracket(mu.vector.scale(unit))
+    first = terms[0][1]
+    # r sqrt(s) / (r s) = 1 / sqrt(s), with no radicand to factor.
+    scaled = LieBracket(mu.vector.scale(first * Fraction(1, first.r * first.s)))
     return scaled, _RadicalField(c.s for c in scaled.vector.terms.values())
 
 
@@ -145,9 +136,10 @@ def validate(mu: LieBracket, two_step: bool = False) -> None:
     # the basis vector e_i sqrt(basis[u]); both argument orders are stored.
     consts: dict = {}
     for (i, j, k), c in nu.vector.terms.items():
-        for u, du in enumerate(field.basis):
+        for u in range(deg):
+            t, y = field.times_basis(c.r, c.s, u)
             for w in range(deg):
-                v, x = field.times_basis(c * Coeff(1, du), w)
+                v, x = field.times_basis(y, field.basis[t], w)
                 consts.setdefault((i * deg + u, j * deg + w), {})[k * deg + v] = x
                 consts.setdefault((j * deg + w, i * deg + u), {})[k * deg + v] = -x
     # Jacobi is K-trilinear, so the K-basis triples e_i (u = 0) suffice.
@@ -172,42 +164,6 @@ def validate(mu: LieBracket, two_step: bool = False) -> None:
         if len(nxt) >= len(current):
             raise ValidationError("not_nilpotent", ())
         current = nxt
-
-
-def ricci(mu: LieBracket) -> SymMatrix:
-    """Ricci operator of the metric Lie algebra (R^n, mu, canonical metric).
-
-    Ric_ab = -1/2 sum <mu(e_a,e_i),e_j><mu(e_b,e_i),e_j>
-             + 1/4 sum <mu(e_i,e_j),e_a><mu(e_i,e_j),e_b>
-    with both sums over ordered pairs (i, j).  Satisfies the exact identity
-    moment_map(mu) * |mu|^2 = 4 Ric for nonzero mu.  Raises IrrationalError
-    when mixed radicands meet in one entry.
-    """
-    n = mu.n
-    if not mu.vector.terms:
-        return SymMatrix([[0] * n for _ in range(n)])
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    values = {}
-    for i in range(n):
-        for j in range(n):
-            values[(i, j)] = mu.of_basis(i, j)
-    for a in range(n):
-        for b in range(a, n):
-            total = Coeff(0)
-            for i in range(n):
-                va, vb = values[(a, i)], values[(b, i)]
-                for j, ca in va.items():
-                    cb = vb.get(j)
-                    if cb is not None:
-                        total = total + Fraction(-1, 2) * ca * cb
-            for i in range(n):
-                for j in range(n):
-                    v = values[(i, j)]
-                    ca, cb = v.get(a), v.get(b)
-                    if ca is not None and cb is not None:
-                        total = total + Fraction(1, 4) * ca * cb
-            entries[a][b] = entries[b][a] = total.rational()
-    return SymMatrix(entries)
 
 
 class MinimalReport(NamedTuple):
@@ -340,7 +296,7 @@ def sym_derivation_dim(mu: LieBracket) -> int:
             for idx, c in nu.vector.terms.items():
                 for new, f in backend.act(a, b, idx):
                     for u in range(deg):
-                        v, x = field.times_basis(c * (sp_sign(a, m) * f), u)
+                        v, x = field.times_basis(c.r * (sp_sign(a, m) * f), c.s, u)
                         row = rows.setdefault((new, v), [Fraction(0)] * width)
                         row[t * deg + u] += x
     return len(pairs) - _exact.rank(list(rows.values())) // deg

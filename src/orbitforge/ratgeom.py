@@ -1,10 +1,10 @@
 """Exact rational convex geometry on finite point sets.
 
-Provides the minimum-norm point of a convex hull (``mcc``), hull membership
-certificates, relative-interior tests and extreme points, all over exact
-rationals.  Point sets here are tiny (at most the 15 weights of a ternary
-quartic), so we enumerate faces exhaustively instead of running an iterative
-solver; every answer is exact and comes with a certificate.
+Provides the minimum-norm point of a convex hull (``mcc``) and hull
+membership and relative-interior certificates, all over exact rationals.
+Point sets here are tiny (at most the 15 weights of a ternary quartic), so we
+enumerate faces exhaustively instead of running an iterative solver; every
+answer is exact and comes with a certificate.
 """
 
 from __future__ import annotations
@@ -214,18 +214,3 @@ def interior_certificate(s: PointSet, p) -> Optional[list[Fraction]]:
     if res.status != "optimal" or res.value <= 0:
         return None
     return res.x[:len(s)]
-
-
-def in_relative_interior(s: PointSet, p) -> bool:
-    """True iff p lies in the interior of CH(s) relative to aff(s)."""
-    return interior_certificate(s, p) is not None
-
-
-def vertices(s: PointSet) -> PointSet:
-    """The extreme points of CH(s), as a subset of ``s`` (order preserved)."""
-    ext = []
-    for i, p in enumerate(s):
-        others = [q for j, q in enumerate(s) if j != i]
-        if not others or barycentric(PointSet(others), p) is None:
-            ext.append(p)
-    return PointSet(ext)

@@ -13,9 +13,8 @@ Two concrete GL_n(R)-representations are supported:
 Each backend has one action primitive, ``act(a, b, idx)``: pi(E_ab) on one
 basis index, as at most three (index, integer factor) pairs.  The sparse
 ``apply_terms``, which takes a matrix as its nonzero (a, b, x) entries (the
-form of ``lattice.root_space``'s generators), the group actions built on it
-and the closed-form moment map mm_ab = <pi(E_ab)v, v> / |v|^2 use nothing
-else of the action.
+form of ``lattice.root_space``'s generators), and the closed-form moment map
+mm_ab = <pi(E_ab)v, v> / |v|^2 use nothing else of the action.
 
 ``weight_of(backend, idx, m)`` is the weight of one basis index, projected to
 the sp(2m) diagonal when m is given; ``weight_masses(v, m)`` maps each distinct
@@ -24,8 +23,8 @@ nice-space tables, Newton solve and minimal metric all read weights through
 these two.
 
 Vectors are sparse maps from basis index to an exact coefficient (rational or
-a single square root, see ``coeffs``), so that moment maps, Gram matrices and
-criticality identities are computed without any rounding.
+a single square root, see ``coeffs``), so that moment maps and criticality
+identities are computed without any rounding.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from typing import Iterable, NamedTuple, Optional
 from .coeffs import Coeff, IrrationalError
 from .lattice import project_to_sp_diag, sp_sign
 from .ratgeom import PointSet, Vec
-from . import _exact
 
 
 class SymMatrix:
@@ -257,16 +255,6 @@ class RepVector:
         return (isinstance(other, RepVector) and other.backend == self.backend
                 and other.terms == self.terms)
 
-    def inner(self, other: "RepVector") -> Coeff:
-        if other.backend != self.backend:
-            raise ValueError("backend mismatch")
-        total = Coeff(0)
-        for idx, c in self.sorted_terms():
-            d = other.terms.get(idx)
-            if d is not None:
-                total = total + c * d * self.backend.basis_norm_sq(idx)
-        return total
-
     def norm_sq(self) -> Fraction:
         total = Fraction(0)
         for idx, c in self.terms.items():
@@ -331,45 +319,6 @@ def apply_terms(backend, entries, terms: dict) -> dict:
     return out
 
 
-def apply_elementary(i: int, j: int, v: RepVector) -> RepVector:
-    """pi(E_ij) v (i == j allowed: the diagonal generator).
-
-    Raises ValueError unless 0 <= i, j < n.
-    """
-    n = v.backend.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError("E_(%d,%d) is not an entry of an %d x %d matrix" % (i, j, n, n))
-    return RepVector(v.backend, apply_terms(v.backend, ((i, j, 1),), v.terms))
-
-
-def apply_matrix(matrix, v: RepVector) -> RepVector:
-    """pi(M) v for an arbitrary rational matrix M."""
-    entries = [(a, b, x) for a, row in enumerate(matrix)
-               for b, x in enumerate(map(Fraction, row)) if x]
-    return RepVector(v.backend, apply_terms(v.backend, entries, v.terms))
-
-
-def group_scale(multipliers, v: RepVector) -> RepVector:
-    """exp(X).v for X = diag(log t_i): weight-alpha terms scale by prod t_i^alpha_i.
-
-    The multipliers t_i must be positive rationals and all weight entries
-    integers, so the scaling stays exact.
-    """
-    ts = [Fraction(t) for t in multipliers]
-    if any(t <= 0 for t in ts):
-        raise ValueError("multipliers must be positive")
-    out = {}
-    for idx, c in v.terms.items():
-        w = v.backend.weight(idx)
-        factor = Fraction(1)
-        for t, a in zip(ts, w, strict=True):
-            if a.denominator != 1:
-                raise ValueError("non-integer weight entry in exact mode")
-            factor *= t ** a.numerator
-        out[idx] = c * factor
-    return RepVector(v.backend, out)
-
-
 def moment_parts(backend, terms: dict, nsq) -> dict:
     """mm_ab = <pi(E_ab)v, v> / |v|^2 for a sparse coefficient map, by radicand.
 
@@ -410,41 +359,6 @@ def moment_map(v: RepVector) -> SymMatrix:
     """
     parts = moment_parts(v.backend, v.terms, v.norm_sq())
     return _rational_part({s: SymMatrix(p) for s, p in parts.items()})
-
-
-def _sym_basis(n: int):
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-
-    def embed(vec):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), x in zip(pairs, vec):
-            m[i][j] = m[j][i] = Fraction(x)
-        return m
-
-    return pairs, embed
-
-
-def sym_sp_basis(m: int) -> list[SymMatrix]:
-    """Basis of the symmetric part of sp(2m,R) for the antidiagonal form."""
-    n = 2 * m
-    jmat = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        jmat[i][n - 1 - i] = Fraction(sp_sign(i, m))
-    pairs, embed = _sym_basis(n)
-    rows = []
-    # Condition S J + J S = 0, entrywise, as linear equations in the S_ij.
-    for a in range(n):
-        for b in range(n):
-            row = []
-            for (i, j) in pairs:
-                val = Fraction(0)
-                for k in range(n):
-                    s_ak = Fraction(1) if (a, k) in ((i, j), (j, i)) else Fraction(0)
-                    s_kb = Fraction(1) if (k, b) in ((i, j), (j, i)) else Fraction(0)
-                    val += s_ak * jmat[k][b] + jmat[a][k] * s_kb
-                row.append(val)
-            rows.append(row)
-    return [SymMatrix(embed(vec)) for vec in _exact.nullspace(rows)]
 
 
 def project_sym_sp(mat: SymMatrix, m: int) -> SymMatrix:

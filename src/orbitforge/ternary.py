@@ -28,8 +28,10 @@ def stratifying_set(d: int, n: int = 3) -> list[Vec]:
 
     Pairs may degenerate to a single weight, and a pair's mcc is the closed-
     form segment point.  Labels are chamber-canonical (ascending coordinates),
-    sorted by norm descending, then lexicographically.  Validated against the
-    published degree-4 classification only for n = 3.
+    sorted by norm descending, then lexicographically.  For n = 3 the labels
+    are checked against the published degree-4 classification, and for
+    d = 4 and 5 against triples: the mcc of every weight triple whose pairs
+    are not root-related is already a pair label.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")

@@ -9,18 +9,18 @@ import random
 from fractions import Fraction
 from math import log
 
-from orbitforge.flow import (FloatVector, moment_map_float, scale_by_diag,
-                             solve_moment_equation)
+from orbitforge.flow import solve_moment_equation
 from orbitforge.lattice import gl_roots
-from orbitforge.nicecrit import gram, is_nice, positive_solution
+from orbitforge.nicecrit import is_nice
 from orbitforge.nilgeom import (LieBracket, bracket_from_fixture_terms,
-                                load_table2_fixture, ricci, run_table2)
-from orbitforge.ratgeom import (PointSet, Vec, in_relative_interior, mcc)
-from orbitforge.reps import (PolyBackend, RepVector, apply_elementary,
-                             apply_matrix, group_scale, moment_map,
+                                load_table2_fixture, run_table2)
+from orbitforge.ratgeom import PointSet, Vec, interior_certificate, mcc
+from orbitforge.reps import (PolyBackend, RepVector, moment_map,
                              moment_map_restricted, support, support_projected)
 from orbitforge.ternary import classify, display_type, stratifying_set, verify_table1
 
+from oracles import (apply_elementary, apply_matrix, gram, group_scale,
+                     moment_map_float, positive_solution, ricci, scale_by_diag)
 from test_flow import EVEN_QUARTICS, _random_even_element
 from test_ratgeom import _oracle_mcc, _random_point_set
 from test_reps import _random_two_step
@@ -100,7 +100,7 @@ def test_criterion_5_oracle_equivalences():
     for _ in range(200):
         s = _random_point_set(rng)
         sol = positive_solution(gram(s), s)
-        assert (sol is not None) == in_relative_interior(s, mcc(s))
+        assert (sol is not None) == (interior_certificate(s, mcc(s)) is not None)
     # (c) 4 Ric = |mu|^2 mm on random nilpotent brackets, dims 4-7.
     done = 0
     while done < 200:
@@ -139,16 +139,16 @@ def test_criterion_6_convexity_of_the_moment_map_image():
         moved = group_scale([Fraction(rng.randint(1, 6), rng.randint(1, 6))
                              for _ in range(3)], v)
         mm = moment_map(moved)
-        assert mm.is_diagonal() and in_relative_interior(sup, mm.diag())
-        mm_f = moment_map_float(FloatVector.from_rep(moved))
+        assert mm.is_diagonal() and interior_certificate(sup, mm.diag()) is not None
+        mm_f = moment_map_float(moved.backend, moved.terms)
         assert all(abs(mm_f[a][b] - float(mm.rows[a][b])) <= CONVEXITY_TOL
                    for a in range(3) for b in range(3))
     # Limits along exposed directions reach the exposed weight.
     v = RepVector.poly(3, 4, [(idx, 1) for idx in EVEN_QUARTICS])
     for alpha in (Vec([-4, 0, 0]), Vec([0, -4, 0]), Vec([0, 0, -4])):
         moved = scale_by_diag([6.0 * float(a) for a in alpha],
-                              FloatVector.from_rep(v))
-        mm = moment_map_float(moved)
+                              v.backend, v.terms)
+        mm = moment_map_float(v.backend, moved)
         assert all(abs(mm[i][i] - float(alpha[i])) <= LIMIT_TOL for i in range(3))
 
 
@@ -178,7 +178,7 @@ def test_criterion_8_newton_on_all_table_cases():
     checked = 0
     for stratum in classify(4):
         for fam in stratum.families:
-            if not in_relative_interior(fam.weights, stratum.beta):
+            if interior_certificate(fam.weights, stratum.beta) is None:
                 continue
             items = [(tuple(int(-x) for x in w), 1) for w in fam.weights]
             v = RepVector(backend, items)

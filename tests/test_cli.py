@@ -303,6 +303,26 @@ def _worked_row_text(old, new):
     return text.replace(old, new, 1)
 
 
+LARGE_SQ = "3602879701896397/36028797018963968"  # binary64 0.1, exactly
+
+
+def test_large_radicands_finish(runner, tmp_path):
+    # Both used to run past a timeout, refactoring radicands in every product.
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps([{"i": 1, "j": 4, "k": 6, "coeff": {"sq": LARGE_SQ}},
+                                {"i": 2, "j": 3, "k": 5, "coeff": "1"}]))
+    res = _invoke(runner, ["minimize", "--input", str(path)])
+    assert json.loads(res.output)["outcome"] == "distinguished"
+    fixture = nilgeom.load_table2_fixture()
+    fixture["rows"] = [r for r in fixture["rows"] if r["name"] == "16.(a)"]
+    fixture["rows"][0]["instances"][0]["terms"][0]["sq"] = LARGE_SQ
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps(fixture))
+    res = runner.invoke(main, ["table2", "--fixtures", str(path)])
+    (row,) = json.loads(res.output)["rows"]
+    assert res.exit_code == 1 and row["dim_aut"] == 5 and not row["passed"]
+
+
 def test_table2_worked_fixture_row_passes(runner, tmp_path):
     path = tmp_path / "fixtures.json"
     path.write_text(_worked_row_text("", ""))

@@ -1,11 +1,17 @@
 """Arithmetic of r*sqrt(s) coefficients."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitforge.coeffs import (Coeff, IrrationalError, _square_free_split, json_integer,
                               json_rational)
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 37, 109, 997]
 
 
 def test_square_free_split():
@@ -19,7 +25,7 @@ def test_normalization():
     assert Coeff(1, 8) == Coeff(2, 2)                   # sqrt(8) = 2 sqrt(2)
     assert Coeff(1, Fraction(1, 2)) == Coeff(Fraction(1, 2), 2)
     assert Coeff(0, 7) == Coeff(0)
-    assert Coeff(3).is_rational() and Coeff(3).rational() == 3
+    assert Coeff(3).s == 1 and Coeff(3).rational() == 3
     with pytest.raises(ValueError):
         Coeff(1, -2)
 
@@ -32,6 +38,17 @@ def test_from_square_round_trip():
     assert d == Coeff(Fraction(-3, 2))
     with pytest.raises(ValueError):
         Coeff.from_square(Fraction(1, 2), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r1=st.fractions(-9, 9, max_denominator=7), r2=st.fractions(-9, 9, max_denominator=7),
+       p1=st.sets(st.sampled_from(PRIMES)), p2=st.sets(st.sampled_from(PRIMES)))
+def test_products_match_the_factored_product(r1, r2, p1, p2):
+    # Squarefree radicands multiply by one gcd; the old product factored s1 s2.
+    s1, s2 = prod(p1), prod(p2)
+    got = Coeff(r1, s1) * Coeff(r2, s2)
+    want = Coeff(r1 * r2, s1 * s2)
+    assert (got.r, got.s) == (want.r, want.s)
 
 
 def test_addition_within_one_radicand():

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from orbitforge.lattice import (RootSystem, chamber_canonical, gl_roots,
-                                is_root_difference, project_to_sp_diag, root_space,
-                                sl_roots, sp_chamber_canonical, sp_diag_roots)
+                                project_to_sp_diag, root_space, sl_roots,
+                                sp_diag_roots)
 from orbitforge.ratgeom import Vec
 
 
@@ -52,20 +52,6 @@ def test_project_to_sp_diag():
 def test_chamber_canonical_sorts_ascending():
     assert chamber_canonical(Vec([0, -2, 1])) == Vec([-2, 0, 1])
     assert chamber_canonical((3, 1, 2)) == Vec([1, 2, 3])
-
-
-def test_sp_chamber_canonical():
-    h = Fraction(1, 2)
-    assert sp_chamber_canonical(Vec([h, 0, -1, 1, 0, -h]), 3) == \
-        Vec([-1, -h, 0, 0, h, 1])
-    with pytest.raises(ValueError):
-        sp_chamber_canonical(Vec([1, 0, 0, 0, 0, 0]), 3)
-
-
-def test_is_root_difference():
-    rs = gl_roots(3)
-    assert is_root_difference(Vec([-1, -3, 0]), Vec([-2, -2, 0]), rs)
-    assert not is_root_difference(Vec([-4, 0, 0]), Vec([-2, -2, 0]), rs)
 
 
 def test_root_system_validation():

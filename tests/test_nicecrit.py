@@ -6,11 +6,11 @@ from itertools import permutations
 
 from orbitforge import _exact
 from orbitforge.lattice import gl_roots, project_to_sp_diag, root_space, sp_diag_roots
-from orbitforge.nicecrit import (critical_coefficients, gram, is_distinguished,
-                                 is_nice, positive_solution, stratum_label)
-from orbitforge.ratgeom import PointSet, Vec, in_relative_interior, mcc
-from orbitforge.reps import (PolyBackend, RepVector, apply_elementary,
-                             support_projected)
+from orbitforge.nicecrit import critical_coefficients, is_distinguished, is_nice
+from orbitforge.ratgeom import PointSet, Vec, interior_certificate, mcc
+from orbitforge.reps import PolyBackend, RepVector, support, support_projected
+
+from oracles import apply_elementary, gram, positive_solution
 
 
 def test_gram_of_worked_bracket():
@@ -54,7 +54,7 @@ def test_positive_solution_iff_relative_interior():
                 pts.append(p)
         weights = PointSet(pts)
         sol = positive_solution(gram(weights), weights)
-        assert (sol is not None) == in_relative_interior(weights, mcc(weights))
+        assert (sol is not None) == (interior_certificate(weights, mcc(weights)) is not None)
 
 
 def test_nice_fast_path_matches_generator_images():
@@ -104,8 +104,8 @@ def test_is_nice_sp_full_path():
 
 def test_stratum_label():
     v = RepVector.poly(3, 4, [((1, 3, 0), 1), ((2, 0, 2), 1)])
-    assert stratum_label(v) == Vec([Fraction(-11, 7), Fraction(-9, 7),
-                                    Fraction(-8, 7)])
+    assert mcc(support(v)) == Vec([Fraction(-11, 7), Fraction(-9, 7),
+                                  Fraction(-8, 7)])
 
 
 def test_is_distinguished_verdicts():

@@ -9,11 +9,12 @@ from orbitforge.coeffs import Coeff, IrrationalError
 from orbitforge.nilgeom import (LieBracket, NotDistinguishedError,
                                 ValidationError, bracket_from_fixture_terms,
                                 find_minimal_metric, load_table2_fixture,
-                                ricci, run_table2, sym_derivation_dim,
-                                validate, verify_minimal)
+                                run_table2, sym_derivation_dim, validate,
+                                verify_minimal)
 from orbitforge.ratgeom import Vec
-from orbitforge.reps import (RepVector, SymMatrix, group_scale, moment_map,
-                             moment_map_restricted)
+from orbitforge.reps import RepVector, SymMatrix, moment_map, moment_map_restricted
+
+from oracles import group_scale, ricci
 
 
 def _double_heisenberg() -> LieBracket:

@@ -187,3 +187,28 @@ def test_random_mixed_brackets_match_reference():
         verdicts.add(None if got is None else got[0])
         assert sym_derivation_dim(mu) == reference_sym_derivation_dim(mu)
     assert {None, "jacobi"} <= verdicts
+
+
+# The binary64 number 0.1 as an exact square: its radicand 2 * 13 * 37 * 109 *
+# 246241 * 279073 is squarefree, and the field of a bracket with it and
+# rational constants has degree 2.  Refactoring every product of radicands
+# by trial division, on a field of degree 64, ran past a 20-s timeout.
+LARGE_SQ = "3602879701896397/36028797018963968"
+
+
+def _large_radicand_brackets():
+    worked = LieBracket.from_terms(6, [((0, 3, 5), _sq(Fraction(LARGE_SQ))),
+                                       ((1, 2, 4), 1)])
+    (row,) = [r for r in load_table2_fixture()["rows"] if r["name"] == "16.(a)"]
+    terms = [dict(t) for t in row["instances"][0]["terms"]]
+    terms[0]["sq"] = LARGE_SQ
+    return {"worked": worked, "16a": bracket_from_fixture_terms(terms)}
+
+
+@pytest.mark.parametrize("name, dim", [("worked", 6), ("16a", 5)])
+def test_large_radicand_brackets_match_reference(name, dim):
+    mu = _large_radicand_brackets()[name]
+    for two_step in (False, True):
+        assert _outcome(validate, mu, two_step=two_step) is None
+        assert _outcome(reference_validate, mu, two_step=two_step) is None
+    assert sym_derivation_dim(mu) == reference_sym_derivation_dim(mu) == dim

@@ -1,0 +1,38 @@
+"""The package ships only names that something outside the tests uses.
+
+Every public top-level function and class in ``src/orbitforge`` must be named
+somewhere other than its own definition: in ``src/``, in ``perfbench/*.py``
+or in ``README.md``.  Code that only tests call belongs in ``tests/`` (the
+reference implementations are in ``tests/oracles.py``).
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "orbitforge"
+
+
+def _words(text: str) -> Counter:
+    return Counter(re.findall(r"\w+", text))
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    uses = _words((ROOT / "README.md").read_text())
+    for path in (ROOT / "perfbench").glob("*.py"):
+        uses += _words(path.read_text())
+    definitions = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        text = path.read_text()
+        uses += _words(text)
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                own = "\n".join(lines[node.lineno - 1:node.end_lineno])
+                definitions.append((path.stem, node.name, _words(own)[node.name]))
+    unused = ["%s.%s" % (module, name) for module, name, own in definitions
+              if uses[name] <= own]
+    assert not unused, "public names that only tests use: %s" % ", ".join(unused)

@@ -9,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitforge import _exact
-from orbitforge.ratgeom import (PointSet, Vec, barycentric, in_relative_interior,
-                                interior_certificate, mcc, segment_min_norm,
-                                vertices, zero_vec)
+from orbitforge.ratgeom import (PointSet, Vec, barycentric, interior_certificate,
+                                mcc, segment_min_norm, zero_vec)
 
 
 def _oracle_mcc(s: PointSet) -> Vec:
@@ -138,15 +137,9 @@ def test_interior_certificate_strict():
 def test_relative_interior_is_relative():
     # A segment in the plane: its midpoint is relint, its endpoint is not.
     s = PointSet([Vec([0, 1]), Vec([2, 1])])
-    assert in_relative_interior(s, Vec([1, 1]))
-    assert not in_relative_interior(s, Vec([0, 1]))
-    assert not in_relative_interior(s, Vec([1, 2]))
-
-
-def test_vertices_drop_redundant_points():
-    square = [Vec([0, 0]), Vec([1, 0]), Vec([0, 1]), Vec([1, 1])]
-    s = PointSet(square + [Vec([Fraction(1, 2), Fraction(1, 2)])])
-    assert vertices(s).as_set() == frozenset(square)
+    assert interior_certificate(s, Vec([1, 1])) is not None
+    assert interior_certificate(s, Vec([0, 1])) is None
+    assert interior_certificate(s, Vec([1, 2])) is None
 
 
 def test_point_set_rejects_duplicates_and_mixed_dims():

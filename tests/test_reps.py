@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from orbitforge import _exact
 from orbitforge.coeffs import Coeff
 from orbitforge.lattice import gl_roots
-from orbitforge.nilgeom import LieBracket, ricci
+from orbitforge.nilgeom import LieBracket
 from orbitforge.ratgeom import PointSet, Vec
 from orbitforge.reps import (BracketBackend, PolyBackend, RepVector, SymMatrix,
-                             apply_diag, apply_elementary, apply_matrix,
-                             group_scale, moment_map, moment_map_restricted,
+                             apply_diag, moment_map, moment_map_restricted,
                              project_sym_sp, support, support_projected,
-                             sym_sp_basis, weight_masses)
+                             weight_masses)
+
+from oracles import (apply_elementary, apply_matrix, group_scale, ricci,
+                     sym_sp_basis)
 
 
 def test_poly_basis_norms_and_weights():

@@ -71,6 +71,20 @@ def test_stratifying_set_matches_the_mcc_oracle(n):
         assert stratifying_set(d, n) == _oracle_stratifying_set(d, n), (d, n)
 
 
+@pytest.mark.parametrize("d", [4, 5])
+def test_triples_add_no_label_to_the_pairs(d):
+    # A weight triple whose pairs are not root-related has its mcc among the
+    # pair labels, so stratifying_set needs no triples for these degrees.
+    labels = set(stratifying_set(d))
+    backend = PolyBackend(3, d)
+    weights = [backend.weight(idx) for idx in backend.all_indices()]
+    roots = gl_roots(3)
+    for triple in combinations(weights, 3):
+        if any((a - b) in roots for a, b in combinations(triple, 2)):
+            continue
+        assert chamber_canonical(mcc(PointSet(triple))) in labels, triple
+
+
 def test_omega_weights():
     beta = Vec([Fraction(-11, 7), Fraction(-9, 7), Fraction(-8, 7)])
     omega = omega_weights(beta, 4)
