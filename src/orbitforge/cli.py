@@ -9,8 +9,9 @@ Exit codes:
 * 0 -- the command answered.  Findings are data: ``not_nice``,
   ``not_distinguished`` and empty strata exit 0.
 * 1 -- a bad input file (a one-line ``Error:`` on stderr, or the
-  ``invalid_bracket`` JSON of ``minimize``), or a table regression with a
-  mismatch.
+  ``invalid_bracket`` JSON of ``minimize``), a radicand the bounded
+  square-free split of ``coeffs`` cannot settle (an ``Error:`` line), or a
+  table regression with a mismatch.
 * 2 -- a usage error: an unknown option, a bad option value, or options that
   do not fit together or with the input.
 
@@ -303,6 +304,7 @@ def table2(fixtures, row, fmt):
 
 def minimize(path):
     """Minimal compatible metric for a symplectic nilpotent bracket."""
+    from .coeffs import RadicandError
     from .nilgeom import (LieBracket, NotDistinguishedError, ValidationError,
                           find_minimal_metric, validate)
 
@@ -326,6 +328,10 @@ def minimize(path):
             payload["witness"] = _witness_json(exc.verdict.witness)
         emit_json(payload)
         return
+    except RadicandError as exc:
+        # A critical coefficient whose square-free part the bounded split
+        # cannot find.
+        raise CliError(str(exc))
     emit_json({
         "command": "minimize", "outcome": "distinguished",
         "x": [float_str(t) for t in res.x],

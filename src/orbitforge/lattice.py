@@ -5,7 +5,11 @@ diagonals is then the standard dot product.  The symplectic form is fixed to
 the antidiagonal pairing  omega = sum_i e_i^* wedge e_{2m+1-i}^*, so the
 diagonal part of sp(2m,R) is the set of patterns (a_1,...,a_m,-a_m,...,-a_1).
 The roots and their root-space generators come from one loop over matrix
-positions; a generator is a tuple of sparse (a, b, x) entries.
+positions; a generator is a tuple of sparse (a, b, x) entries.  A root is an
+exact tuple: a plain tuple of integers for gl and sl, and a ``Vec`` (a tuple
+subclass) of ``Fraction`` halves for sp.  Since ``Fraction(k)`` and ``k``
+compare and hash equal, a ``Vec``, a list or an integer tuple with the same
+entries is the same root.
 """
 
 from __future__ import annotations
@@ -14,14 +18,19 @@ from .ratgeom import Vec
 
 
 class RootSystem:
-    """The root set of a diagonal subalgebra, closed under negation."""
+    """The root set of a diagonal subalgebra, closed under negation.
+
+    ``roots`` is a frozenset of exact tuples (integers for gl and sl, a Vec
+    of Fraction halves for sp); membership takes any sequence of the same
+    entries.
+    """
 
     __slots__ = ("n", "roots", "subgroup")
 
     def __init__(self, n: int, roots: frozenset, subgroup: str):  # "gl" | "sl" | "sp"
-        if Vec([0] * n) in roots:
+        if (0,) * n in roots:
             raise ValueError("0 is not a root")
-        if any(-r not in roots for r in roots):
+        if any(tuple(-x for x in r) not in roots for r in roots):
             raise ValueError("root set must be closed under negation")
         for name, value in zip(self.__slots__, (n, roots, subgroup)):
             object.__setattr__(self, name, value)
@@ -37,7 +46,7 @@ class RootSystem:
         return hash((self.n, self.roots, self.subgroup))
 
     def __contains__(self, v) -> bool:
-        return Vec(v) in self.roots
+        return tuple(v) in self.roots
 
 
 def _root_spaces(n: int, subgroup: str):
@@ -47,7 +56,8 @@ def _root_spaces(n: int, subgroup: str):
     (n = 2m): M^T J + J M = 0 pairs (a, b) with (n-1-b, n-1-a) (the same
     position when b = n-1-a), and each pair gives the projected root and
     E_ab - sgn(a) sgn(b) E_{n-1-b,n-1-a}.  A generator is a tuple of sparse
-    (a, b, x) entries.
+    (a, b, x) entries, and a root is an integer tuple for gl/sl and the
+    projected Vec for sp.
     """
     if subgroup not in ("gl", "sl", "sp"):
         raise ValueError("unknown subgroup %r" % subgroup)
@@ -60,7 +70,7 @@ def _root_spaces(n: int, subgroup: str):
             e = [0] * n
             e[a], e[b] = 1, -1
             if subgroup != "sp":
-                yield Vec(e), ((a, b, 1),)
+                yield tuple(e), ((a, b, 1),)
                 continue
             x = -sp_sign(a, m) * sp_sign(b, m)
             gen = ((a, b, 1 + x),) if (a, b) == pair else ((a, b, 1), pair + (x,))
@@ -70,8 +80,10 @@ def _root_spaces(n: int, subgroup: str):
 def root_space(rs: RootSystem, gamma) -> tuple:
     """The generators of the root space g_gamma, each a tuple of (a, b, x) entries.
 
-    Raises ValueError for an unknown subgroup.
+    gamma may be any sequence (a Vec, a list or a tuple).  Raises ValueError
+    for an unknown subgroup.
     """
+    gamma = tuple(gamma)
     return tuple(gen for root, gen in _root_spaces(rs.n, rs.subgroup) if root == gamma)
 
 

@@ -23,10 +23,10 @@ from typing import NamedTuple, Optional
 from . import _exact
 from .coeffs import (Coeff, IrrationalError, coprime_base, fold_radicands, json_integer,
                      json_rational)
-from .lattice import sp_diag_roots, sp_sign
+from .lattice import RootSystem, root_space, sp_diag_roots, sp_sign
 from .nicecrit import Verdict, is_distinguished
-from .ratgeom import PointSet, Vec, mcc
-from .reps import (RepVector, SymMatrix, apply_diag, moment_map_restricted,
+from .ratgeom import PointSet, Vec, interior_certificate, mcc
+from .reps import (RepVector, SymMatrix, apply_diag, apply_terms, moment_map_restricted,
                    support_projected, weight_masses, weight_of)
 
 
@@ -232,15 +232,44 @@ class MinimalMetricResult(NamedTuple):
     beta: Vec
 
 
+def _torus_diagonal(v: RepVector, roots: RootSystem) -> bool:
+    """Whether mm_sp(t.v) is diagonal for every t in the diagonal torus of Sp(2m).
+
+    The off-diagonal entries of mm_sp are <pi(X) v, v> / |v|^2 over the root
+    space generators X.  Under t = exp(H) a summand of basis indices idx and
+    new in X's root space gamma scales by exp<H, 2 p(alpha_idx) + gamma>,
+    p the sp projection, and exponentials of distinct patterns are linearly
+    independent, as are square roots of distinct squarefree integers.  So the
+    summands, grouped by (gamma, p(alpha_idx), radicand), must each sum to 0.
+    """
+    m = roots.n // 2
+    groups: dict = {}
+    for gamma in roots.roots:
+        for gen in root_space(roots, gamma):
+            for idx, c in v.terms.items():
+                w = weight_of(v.backend, idx, m)
+                for new, y in apply_terms(v.backend, gen, {idx: c}).items():
+                    d = v.terms.get(new)
+                    if d is not None:
+                        z = y * d * v.backend.basis_norm_sq(new)
+                        key = (gamma, w, z.s)
+                        groups[key] = groups.get(key, 0) + z.r
+    return not any(groups.values())
+
+
 def find_minimal_metric(mu: LieBracket) -> MinimalMetricResult:
     """Diagonal change of basis carrying mu to a minimal-metric critical point.
 
-    Requires the sp-projected weight set of mu to be nice with a distinguished
-    orbit; raises NotDistinguishedError (carrying the verdict) otherwise, and
-    ValueError for odd dimension or the zero bracket.  Returns the Newton
-    solution X of mm_sp(exp(X).mu) = beta together with the exact critical
-    bracket obtained by redistributing the weight-class masses onto the
-    verdict's interior certificate.
+    Requires a distinguished orbit: mcc of the sp-projected weights lies in
+    the relative interior of their hull, and their span is nice or, failing
+    that, mm_sp stays diagonal along the diagonal torus orbit of mu, which
+    suffices for a solution.  Raises NotDistinguishedError (carrying the
+    verdict of the span test, so "not_nice" when only the torus test passed)
+    otherwise, and ValueError for odd dimension or the zero bracket.  Returns
+    the Newton solution X of mm_sp(exp(X).mu) = beta together with the exact
+    critical bracket obtained by redistributing the weight-class masses onto
+    the verdict's interior certificate; any such redistribution keeps the
+    torus test's groups at zero, so that bracket is critical too.
     """
     from .flow import solve_moment_equation
 
@@ -251,7 +280,15 @@ def find_minimal_metric(mu: LieBracket) -> MinimalMetricResult:
         raise ValueError("the zero bracket has no minimal metric")
     class_mass = weight_masses(mu.vector, m)
     weights = PointSet(class_mass)
-    verdict = is_distinguished(weights, mu.vector.backend, sp_diag_roots(m))
+    roots = sp_diag_roots(m)
+    verdict = is_distinguished(weights, mu.vector.backend, roots)
+    if verdict.outcome == "not_nice" and _torus_diagonal(mu.vector, roots):
+        # Without a nice span, a beta outside the relative interior proves
+        # nothing, so the not_nice verdict stands then.
+        beta = mcc(weights)
+        cert = interior_certificate(weights, beta)
+        if cert is not None:
+            verdict = Verdict("distinguished", beta=beta, certificate=tuple(cert))
     if verdict.outcome != "distinguished":
         raise NotDistinguishedError(verdict)
     beta = verdict.beta

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -321,6 +322,38 @@ def test_large_radicands_finish(runner, tmp_path):
     res = runner.invoke(main, ["table2", "--fixtures", str(path)])
     (row,) = json.loads(res.output)["rows"]
     assert res.exit_code == 1 and row["dim_aut"] == 5 and not row["passed"]
+
+
+UNSPLIT_SQ = "998244359987710471"  # 1000000007 * 998244353, both above the split limit
+
+
+@pytest.mark.parametrize("command", ["check", "minimize"])
+def test_unsplittable_radicand_is_a_quick_one_line_error(runner, tmp_path, command):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps([{"i": 1, "j": 4, "k": 6, "coeff": {"sq": UNSPLIT_SQ}},
+                                {"i": 2, "j": 3, "k": 5, "coeff": "1"}]))
+    start = time.perf_counter()
+    res = runner.invoke(main, [command, "--input", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 1 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: bad term in")
+    assert "RadicandError" in lines[0]
+
+
+def test_minimize_reports_an_unsplittable_critical_coefficient(runner, tmp_path):
+    # 16.(a)'s support with one class of coefficients 10^12 + 39 and 1: the
+    # critical squared coefficients have a large cofactor the split refuses.
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps([
+        {"i": 1, "j": 2, "k": 3, "coeff": "1000000000039"},
+        {"i": 1, "j": 5, "k": 6, "coeff": "1"},
+        {"i": 2, "j": 4, "k": 6, "coeff": "1"},
+        {"i": 4, "j": 5, "k": 3, "coeff": "1"}]))
+    res = runner.invoke(main, ["minimize", "--input", str(path)])
+    assert res.exit_code == 1 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: cannot split the radicand")
 
 
 def test_table2_worked_fixture_row_passes(runner, tmp_path):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitforge.coeffs import (Coeff, IrrationalError, _square_free_split, json_integer,
-                              json_rational)
+from orbitforge.coeffs import (SPLIT_LIMIT, Coeff, IrrationalError, RadicandError,
+                              _square_free_split, json_integer, json_rational)
 
 
 PRIMES = [2, 3, 5, 7, 11, 13, 37, 109, 997]
@@ -19,6 +19,25 @@ def test_square_free_split():
     assert _square_free_split(12) == (2, 3)
     assert _square_free_split(49) == (7, 1)
     assert _square_free_split(360) == (6, 10)
+
+
+def test_split_refuses_a_cofactor_it_cannot_settle():
+    # 1000000007 * 998244353: no prime below the limit, not a square, and
+    # above SPLIT_LIMIT**2, so trial division cannot tell its square part.
+    assert SPLIT_LIMIT ** 2 < 998244359987710471
+    with pytest.raises(RadicandError, match="cannot split"):
+        Coeff.from_square(998244359987710471)
+    assert issubclass(RadicandError, ValueError)
+
+
+def test_split_accepts_large_primes_and_their_squares():
+    p = 1000003  # a prime above SPLIT_LIMIT
+    assert p > SPLIT_LIMIT
+    assert Coeff.from_square(p * p) == Coeff(p)
+    assert Coeff.from_square(Fraction(12 * p * p, 7)) == Coeff(Fraction(2 * p, 7), 21)
+    q = 1000000007  # a prime below SPLIT_LIMIT**2 is its own square-free part
+    assert _square_free_split(4 * q) == (2, q)
+    assert _square_free_split(q * q * 3 ** 3) == (3 * q, 3)
 
 
 def test_normalization():

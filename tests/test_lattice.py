@@ -97,3 +97,55 @@ def test_root_space_rejects_an_unknown_subgroup():
     rs = RootSystem(2, gl_roots(2).roots, "so")
     with pytest.raises(ValueError, match="unknown subgroup"):
         root_space(rs, Vec([1, -1]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_gl_roots_are_integer_tuples_that_any_sequence_finds(n):
+    rs = gl_roots(n)
+    assert all(type(x) is int for r in rs.roots for x in r)
+    gamma = [1] + [0] * (n - 2) + [-1]
+    assert Vec(gamma) in rs and gamma in rs and tuple(gamma) in rs
+    assert [Fraction(x) for x in gamma] in rs
+    assert [2] + [0] * (n - 2) + [-2] not in rs
+
+
+def test_sp_roots_are_found_from_differences_of_projected_weights():
+    rs = sp_diag_roots(3)
+    assert all(type(x) is Fraction for r in rs.roots for x in r)
+    # Bracket weights e_k - e_i - e_j, projected: the entries are halves.
+    a = project_to_sp_diag(Vec([-1, -1, 0, 0, 1, 0]), 3)
+    b = project_to_sp_diag(Vec([-1, 0, -1, 0, 1, 0]), 3)
+    assert any(x.denominator == 2 for x in a)
+    h = Fraction(1, 2)
+    assert b - a == Vec([0, h, -h, h, -h, 0]) and (b - a) in rs
+    assert list(b - a) in rs
+    assert (b - a) * 2 not in rs
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({(1, -1)}, "closed under negation"),
+    ({Vec([Fraction(1, 2), Fraction(-1, 2)]), (-1, 1)}, "closed under negation"),
+    ({(1, -1), (-1, 1), (0, 0)}, "0 is not a root"),
+    ({(Fraction(0), Fraction(0))}, "0 is not a root"),
+])
+def test_root_system_rejects_bad_sets_of_tuples(bad, message):
+    with pytest.raises(ValueError, match=message):
+        RootSystem(2, frozenset(bad), "gl")
+
+
+@pytest.mark.parametrize("rs", [gl_roots(4), sp_diag_roots(2)], ids=["gl4", "sp4"])
+def test_root_system_equality_ignores_vec_or_tuple(rs):
+    as_vecs = RootSystem(rs.n, frozenset(Vec(r) for r in rs.roots), rs.subgroup)
+    assert as_vecs == rs and hash(as_vecs) == hash(rs)
+    assert all(r in as_vecs for r in rs.roots)
+
+
+def test_root_space_answers_for_any_sequence():
+    rs = sp_diag_roots(3)
+    h = Fraction(1, 2)
+    gamma = Vec([h, -h, 0, 0, h, -h])                    # eps_1 - eps_2
+    gens = root_space(rs, gamma)
+    assert gens == (((0, 1, 1), (4, 5, -1)),)
+    assert root_space(rs, list(gamma)) == gens == root_space(rs, tuple(gamma))
+    assert root_space(rs, Vec([1, 0, 0, 0, 0, -1])) == (((0, 5, 2),),)   # 2 eps_1
+    assert root_space(gl_roots(3), [0, 1, -1]) == (((1, 2, 1),),)

@@ -6,13 +6,16 @@ from fractions import Fraction
 import pytest
 
 from orbitforge.coeffs import Coeff, IrrationalError
+from orbitforge.lattice import sp_diag_roots
+from orbitforge.nicecrit import is_distinguished
 from orbitforge.nilgeom import (LieBracket, NotDistinguishedError,
-                                ValidationError, bracket_from_fixture_terms,
-                                find_minimal_metric, load_table2_fixture,
-                                run_table2, sym_derivation_dim, validate,
-                                verify_minimal)
+                                ValidationError, _torus_diagonal,
+                                bracket_from_fixture_terms, find_minimal_metric,
+                                load_table2_fixture, run_table2, sym_derivation_dim,
+                                validate, verify_minimal)
 from orbitforge.ratgeom import Vec
-from orbitforge.reps import RepVector, SymMatrix, moment_map, moment_map_restricted
+from orbitforge.reps import (RepVector, SymMatrix, moment_map, moment_map_restricted,
+                             support_projected)
 
 from oracles import group_scale, ricci
 
@@ -115,6 +118,50 @@ def test_find_minimal_metric_reaches_beta_on_table_supports():
             mm_sp = moment_map_restricted(res.critical_bracket, "sp", 3)
             assert mm_sp.is_diagonal() and mm_sp.diag() == res.beta, inst["label"]
     assert solved == 11
+
+
+def test_find_minimal_metric_solves_every_shipped_instance():
+    # 18.(b_t) and 18.(c) have no nice span, but mm_sp stays diagonal along
+    # their torus orbits, and that suffices; each exact critical bracket has
+    # mm_sp = diag(beta).
+    labels = []
+    for row in load_table2_fixture()["rows"]:
+        for inst in row["instances"]:
+            mu = bracket_from_fixture_terms(inst["terms"])
+            res = find_minimal_metric(mu)
+            assert res.verdict.outcome == "distinguished" and res.residual <= 1e-12
+            mm_sp = moment_map_restricted(res.critical_bracket, "sp", 3)
+            assert mm_sp.is_diagonal() and mm_sp.diag() == res.beta, inst["label"]
+            labels.append(inst["label"])
+    assert len(labels) == 15
+
+
+def test_torus_fallback_only_where_the_span_is_not_nice():
+    rows = {r["name"]: r for r in load_table2_fixture()["rows"]}
+    mu = bracket_from_fixture_terms(rows["18.(c)"]["instances"][0]["terms"])
+    m = 3
+    weights = support_projected(mu.vector, m)
+    assert is_distinguished(weights, mu.vector.backend, sp_diag_roots(m)).outcome == "not_nice"
+    assert _torus_diagonal(mu.vector, sp_diag_roots(m))
+    # The oracle: mm_sp(t.mu) is diagonal at sample rational torus elements.
+    for ts in ([2, 3, 5], [Fraction(1, 2), 7, Fraction(2, 3)]):
+        t_mu = group_scale(ts + [1 / Fraction(t) for t in reversed(ts)], mu.vector)
+        assert moment_map_restricted(t_mu, "sp", m).is_diagonal()
+    # Unit coefficients on the same support leave the torus orbit's mm_sp
+    # off the diagonal, and the span verdict stands.
+    unit = RepVector(mu.vector.backend, [(idx, 1) for idx in mu.vector.terms])
+    assert not _torus_diagonal(unit, sp_diag_roots(m))
+    assert not moment_map_restricted(unit, "sp", m).is_diagonal()
+
+
+def test_torus_fallback_keeps_not_nice_without_an_interior_beta():
+    # mm_sp is diagonal along the torus orbit, but beta is not interior: with
+    # a span that is not nice that proves nothing, so the answer is not_nice.
+    mu = LieBracket.from_terms(6, [((2, 3, 0), 1), ((3, 5, 4), 1)])
+    assert _torus_diagonal(mu.vector, sp_diag_roots(3))
+    with pytest.raises(NotDistinguishedError) as err:
+        find_minimal_metric(mu)
+    assert err.value.verdict.outcome == "not_nice"
 
 
 def test_find_minimal_metric_not_nice():
