@@ -194,8 +194,7 @@ def _write_strata_svg(fh, d: int, labels) -> None:
 def check(path, group, paper_signs):
     """Distinguished-orbit verdict for a form or bracket file."""
     from .lattice import gl_roots, sl_roots, sp_diag_roots
-    from .nicecrit import is_distinguished
-    from .reps import support, support_projected
+    from .nicecrit import orbit_verdict
 
     v = _load_vector(path)
     n = v.backend.n
@@ -203,11 +202,9 @@ def check(path, group, paper_signs):
         if n % 2:
             raise UsageError("sp requires even dimension")
         roots = sp_diag_roots(n // 2)
-        weights = support_projected(v, n // 2)
     else:
         roots = gl_roots(n) if group == "gl" else sl_roots(n)
-        weights = support(v)
-    verdict = is_distinguished(weights, v.backend, roots)
+    verdict = orbit_verdict(v, roots)
     beta = verdict.beta
     if beta is not None and paper_signs:
         beta = -beta

@@ -73,14 +73,6 @@ class NewtonResult(NamedTuple):
     hessian_psd_ok: bool     # False if a Cholesky pivot failed (gradient step taken)
     subspace: tuple          # orthonormal rows spanning the non-degenerate directions
 
-    def project_to_subspace(self, y) -> Vec:
-        """Component of a diagonal vector y in the solver's search space."""
-        out = [0.0] * len(y)
-        for q in self.subspace:
-            d = _dot(q, (float(t) for t in y))
-            out = [a + d * b for a, b in zip(out, q)]
-        return Vec(out)
-
 
 def solve_moment_equation(w: RepVector, beta, subgroup: str = "gl") -> NewtonResult:
     """Newton solve of mm_a(exp(X).w) = beta over the diagonal subalgebra.

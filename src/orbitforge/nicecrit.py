@@ -6,6 +6,8 @@ element is distinguished reduces to exact convex geometry: the minimum-norm
 point beta of the convex hull of its weights must lie in the relative
 interior of that hull.  The niceness test applies each root's generators
 (``lattice.root_space``) sparsely, through the backend's action primitive.
+``orbit_verdict`` decides one vector's orbit: where the span is not nice,
+the torus test, the vector form of the niceness test, may still prove it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import NamedTuple, Optional
 from . import _exact, ratgeom
 from .lattice import RootSystem, root_space
 from .ratgeom import PointSet, Vec, interior_certificate, mcc
-from .reps import apply_terms, weight_of
+from .reps import RepVector, apply_terms, weight_masses, weight_of
 
 
 class NiceWitness(NamedTuple):
@@ -34,8 +36,21 @@ class Verdict(NamedTuple):
     witness: Optional[NiceWitness] = None
 
 
+def _projection(roots: RootSystem) -> Optional[int]:
+    """m for the sp(2m) weight projection, or None for gl and sl."""
+    return roots.n // 2 if roots.subgroup == "sp" else None
+
+
+def _root_pairs(weights, roots: RootSystem):
+    """(alpha_i, alpha_j, gamma) for each ordered pair with gamma = alpha_j - alpha_i a root."""
+    for wi in weights:
+        for wj in weights:
+            if wi != wj and (gamma := wj - wi) in roots:
+                yield wi, wj, gamma
+
+
 def _weight_index_table(backend, roots: RootSystem) -> dict:
-    m = roots.n // 2 if roots.subgroup == "sp" else None
+    m = _projection(roots)
     table: dict = {}
     for idx in backend.all_indices():
         table.setdefault(weight_of(backend, idx, m), []).append(idx)
@@ -58,13 +73,11 @@ def is_nice(weights: PointSet, backend, roots: RootSystem):
     for w in weights:
         if w not in table:
             raise ValueError("weight %r is not a weight of this representation" % (w,))
-    pairs = [(wi, wj) for wi in weights for wj in weights
-             if wi != wj and (wj - wi) in roots]
+    pairs = list(_root_pairs(weights, roots))
     if not pairs:
         return True, None
     span_indices = {idx for w in weights for idx in table[w]}
-    for wi, wj in pairs:
-        gamma = wj - wi
+    for wi, wj, gamma in pairs:
         for gen in root_space(roots, gamma):
             for idx in table[wi]:
                 if any(t in span_indices for t in apply_terms(backend, gen, {idx: 1})):
@@ -81,11 +94,59 @@ def is_distinguished(weights: PointSet, backend, roots: RootSystem) -> Verdict:
     nice, witness = is_nice(weights, backend, roots)
     if not nice:
         return Verdict("not_nice", witness=witness)
+    return _hull_verdict(weights)
+
+
+def _hull_verdict(weights: PointSet) -> Verdict:
     beta = mcc(weights)
     cert = interior_certificate(weights, beta)
     if cert is None:
         return Verdict("not_distinguished", beta=beta)
     return Verdict("distinguished", beta=beta, certificate=tuple(cert))
+
+
+def _torus_nice(v: RepVector, roots: RootSystem) -> bool:
+    """Whether mm(t.v) is diagonal for every t in the group's diagonal torus.
+
+    The vector form of ``is_nice``'s test, on v's parts v_P of one (projected)
+    weight.  For X in g_gamma and t = exp(H), <pi(X) t.v, t.v> sums
+    e^<H, 2P + gamma> <pi(X) v_P, v_{P+gamma}> over P; distinct exponentials,
+    and square roots of distinct squarefree integers, are independent.  So
+    <pi(X) v_P, v_Q> must vanish radicand by radicand for each root Q - P.
+    """
+    m = _projection(roots)
+    parts: dict = {}
+    for idx, c in v.terms.items():
+        parts.setdefault(weight_of(v.backend, idx, m), {})[idx] = c
+    for p, q, gamma in _root_pairs(parts, roots):
+        for gen in root_space(roots, gamma):
+            sums: dict = {}
+            for idx, c in parts[p].items():
+                # One term at a time: images of distinct radicands may meet.
+                for new, y in apply_terms(v.backend, gen, {idx: c}).items():
+                    d = parts[q].get(new)
+                    if d is not None:
+                        z = y * d * v.backend.basis_norm_sq(new)
+                        sums[z.s] = sums.get(z.s, 0) + z.r
+            if any(sums.values()):
+                return False
+    return True
+
+
+def orbit_verdict(v: RepVector, roots: RootSystem) -> Verdict:
+    """``is_distinguished`` on the (sp-projected) support of a nonzero vector v,
+    but "distinguished" where the span is not nice, the torus test passes
+    (mm(T.v) is diagonal) and beta is interior.  Without a nice span an
+    exterior beta proves nothing, so "not_nice" stands.  Raises ValueError
+    for the zero vector or when v and the roots differ in dimension.
+    """
+    weights = PointSet(weight_masses(v, _projection(roots)))
+    verdict = is_distinguished(weights, v.backend, roots)
+    if verdict.outcome == "not_nice" and _torus_nice(v, roots):
+        hull = _hull_verdict(weights)
+        if hull.outcome == "distinguished":
+            return hull
+    return verdict
 
 
 class CriticalFamily(NamedTuple):
@@ -109,15 +170,6 @@ class CriticalFamily(NamedTuple):
     def coefficient_squares(self, point=None) -> tuple:
         c = self.particular if point is None else point
         return tuple(Fraction(ci) / ni for ci, ni in zip(c, self.basis_norms))
-
-    def member(self, params) -> tuple:
-        """The mass vector particular + sum params_k kernel_k."""
-        c = list(self.particular)
-        for t, k in zip(params, self.kernel, strict=True):
-            c = [ci + Fraction(t) * ki for ci, ki in zip(c, k)]
-        if any(ci < 0 for ci in c):
-            raise ValueError("parameters leave the nonnegative orthant")
-        return tuple(c)
 
 
 def critical_coefficients(weights: PointSet, basis_norms, beta) -> Optional[CriticalFamily]:

@@ -23,10 +23,10 @@ from typing import NamedTuple, Optional
 from . import _exact
 from .coeffs import (Coeff, IrrationalError, coprime_base, fold_radicands, json_integer,
                      json_rational)
-from .lattice import RootSystem, root_space, sp_diag_roots, sp_sign
-from .nicecrit import Verdict, is_distinguished
-from .ratgeom import PointSet, Vec, interior_certificate, mcc
-from .reps import (RepVector, SymMatrix, apply_diag, apply_terms, moment_map_restricted,
+from .lattice import sp_diag_roots, sp_sign
+from .nicecrit import Verdict, orbit_verdict
+from .ratgeom import Vec, mcc
+from .reps import (RepVector, SymMatrix, apply_terms, moment_map_restricted,
                    support_projected, weight_masses, weight_of)
 
 
@@ -206,7 +206,8 @@ def verify_minimal(mu: LieBracket, reference_derivation=None) -> MinimalReport:
     bns = beta.norm_sq()
     d = mm_sp + SymMatrix.diagonal([bns] * mu.n)
     # D is diagonal here, so pi(D) mu scales each term by <weight, diag D>.
-    is_der = apply_diag(d.diag(), mu.vector).is_zero()
+    diag = [(i, i, x) for i, x in enumerate(d.diag()) if x]
+    is_der = not apply_terms(mu.vector.backend, diag, mu.vector.terms)
     multiple = None
     if reference_derivation is not None:
         ratios = {d.rows[i][i] / r for i, r in enumerate(ref) if r != 0}
@@ -232,44 +233,19 @@ class MinimalMetricResult(NamedTuple):
     beta: Vec
 
 
-def _torus_diagonal(v: RepVector, roots: RootSystem) -> bool:
-    """Whether mm_sp(t.v) is diagonal for every t in the diagonal torus of Sp(2m).
-
-    The off-diagonal entries of mm_sp are <pi(X) v, v> / |v|^2 over the root
-    space generators X.  Under t = exp(H) a summand of basis indices idx and
-    new in X's root space gamma scales by exp<H, 2 p(alpha_idx) + gamma>,
-    p the sp projection, and exponentials of distinct patterns are linearly
-    independent, as are square roots of distinct squarefree integers.  So the
-    summands, grouped by (gamma, p(alpha_idx), radicand), must each sum to 0.
-    """
-    m = roots.n // 2
-    groups: dict = {}
-    for gamma in roots.roots:
-        for gen in root_space(roots, gamma):
-            for idx, c in v.terms.items():
-                w = weight_of(v.backend, idx, m)
-                for new, y in apply_terms(v.backend, gen, {idx: c}).items():
-                    d = v.terms.get(new)
-                    if d is not None:
-                        z = y * d * v.backend.basis_norm_sq(new)
-                        key = (gamma, w, z.s)
-                        groups[key] = groups.get(key, 0) + z.r
-    return not any(groups.values())
-
-
 def find_minimal_metric(mu: LieBracket) -> MinimalMetricResult:
     """Diagonal change of basis carrying mu to a minimal-metric critical point.
 
-    Requires a distinguished orbit: mcc of the sp-projected weights lies in
-    the relative interior of their hull, and their span is nice or, failing
-    that, mm_sp stays diagonal along the diagonal torus orbit of mu, which
-    suffices for a solution.  Raises NotDistinguishedError (carrying the
-    verdict of the span test, so "not_nice" when only the torus test passed)
-    otherwise, and ValueError for odd dimension or the zero bracket.  Returns
-    the Newton solution X of mm_sp(exp(X).mu) = beta together with the exact
-    critical bracket obtained by redistributing the weight-class masses onto
-    the verdict's interior certificate; any such redistribution keeps the
-    torus test's groups at zero, so that bracket is critical too.
+    Requires ``nicecrit.orbit_verdict`` to find the orbit distinguished: mcc
+    of the sp-projected weights is interior, and their span is nice or mm_sp
+    stays diagonal along the diagonal torus orbit of mu.  Raises
+    NotDistinguishedError (carrying the verdict of the span test, so
+    "not_nice" when only the torus test passed) otherwise, and ValueError
+    for odd dimension or the zero bracket.  Returns the Newton solution X of
+    mm_sp(exp(X).mu) = beta together with the exact critical bracket obtained
+    by redistributing the weight-class masses onto the verdict's interior
+    certificate; that scales each weight part by one factor, so the torus
+    test's sums stay zero and the bracket is critical too.
     """
     from .flow import solve_moment_equation
 
@@ -278,17 +254,7 @@ def find_minimal_metric(mu: LieBracket) -> MinimalMetricResult:
         raise ValueError("a minimal compatible metric needs even dimension")
     if mu.vector.is_zero():
         raise ValueError("the zero bracket has no minimal metric")
-    class_mass = weight_masses(mu.vector, m)
-    weights = PointSet(class_mass)
-    roots = sp_diag_roots(m)
-    verdict = is_distinguished(weights, mu.vector.backend, roots)
-    if verdict.outcome == "not_nice" and _torus_diagonal(mu.vector, roots):
-        # Without a nice span, a beta outside the relative interior proves
-        # nothing, so the not_nice verdict stands then.
-        beta = mcc(weights)
-        cert = interior_certificate(weights, beta)
-        if cert is not None:
-            verdict = Verdict("distinguished", beta=beta, certificate=tuple(cert))
+    verdict = orbit_verdict(mu.vector, sp_diag_roots(m))
     if verdict.outcome != "distinguished":
         raise NotDistinguishedError(verdict)
     beta = verdict.beta
@@ -296,7 +262,8 @@ def find_minimal_metric(mu: LieBracket) -> MinimalMetricResult:
 
     # The certificate is a critical mass distribution: positive masses on
     # the weights, summing to 1, with barycentre beta.
-    target = dict(zip(weights, verdict.certificate))
+    class_mass = weight_masses(mu.vector, m)
+    target = dict(zip(class_mass, verdict.certificate))
     terms = {}
     for idx, c in mu.vector.terms.items():
         pw = weight_of(mu.vector.backend, idx, m)

@@ -292,17 +292,6 @@ def support_projected(v: RepVector, m: int) -> PointSet:
     return PointSet(dict.fromkeys(weight_of(v.backend, i, m) for i, _ in v.sorted_terms()))
 
 
-def apply_diag(x, v: RepVector) -> RepVector:
-    """pi(diag(x)) v: each term scales by <weight, x>."""
-    x = Vec(x)
-    out = {}
-    for idx, c in v.terms.items():
-        scaled = c * v.backend.weight(idx).dot(x)
-        if not scaled.is_zero():
-            out[idx] = scaled
-    return RepVector(v.backend, out)
-
-
 def apply_terms(backend, entries, terms: dict) -> dict:
     """pi(M) on a sparse map basis index -> coefficient, through ``backend.act``.
 

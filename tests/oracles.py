@@ -13,7 +13,12 @@ a quantity the package computes another way:
   and adjointness checks;
 * ``scale_by_diag`` and ``moment_map_float``: the binary64 diagonal action
   and moment map on a plain {basis index: float} map, the float check of
-  Newton solutions.
+  Newton solutions, and ``project_to_subspace``, which compares Newton
+  solutions modulo the directions the moment equation cannot see;
+* ``family_member``: one mass vector of a critical coefficient family;
+* ``torus_diagonal``: the torus test as a scan over every root, root-space
+  generator and term, against the pairwise test behind
+  ``nicecrit.orbit_verdict``.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from math import exp
 
 from orbitforge import _exact
 from orbitforge.coeffs import Coeff
-from orbitforge.lattice import sp_sign
-from orbitforge.ratgeom import PointSet, interior_certificate, mcc
-from orbitforge.reps import RepVector, SymMatrix, apply_terms, moment_parts
+from orbitforge.lattice import root_space, sp_sign
+from orbitforge.ratgeom import PointSet, Vec, interior_certificate, mcc
+from orbitforge.reps import RepVector, SymMatrix, apply_terms, moment_parts, weight_of
 
 
 def ricci(mu) -> SymMatrix:
@@ -195,3 +200,48 @@ def moment_map_float(backend, terms: dict):
     """
     terms = {idx: float(c) for idx, c in terms.items()}
     return moment_parts(backend, terms, float_norm_sq(backend, terms))[1]
+
+
+def project_to_subspace(result, y) -> Vec:
+    """Component of a diagonal vector y in a Newton result's search space."""
+    out = [0.0] * len(y)
+    for q in result.subspace:
+        d = sum(a * float(t) for a, t in zip(q, y))
+        out = [a + d * b for a, b in zip(out, q)]
+    return Vec(out)
+
+
+def family_member(family, params) -> tuple:
+    """The mass vector particular + sum params_k kernel_k of a CriticalFamily."""
+    c = list(family.particular)
+    for t, k in zip(params, family.kernel, strict=True):
+        c = [ci + Fraction(t) * ki for ci, ki in zip(c, k)]
+    if any(ci < 0 for ci in c):
+        raise ValueError("parameters leave the nonnegative orthant")
+    return tuple(c)
+
+
+def torus_diagonal(v: RepVector, roots) -> bool:
+    """Whether mm(t.v) is diagonal for every t in the diagonal torus of the roots' group.
+
+    The off-diagonal entries of mm are <pi(X) v, v> / |v|^2 over the root
+    space generators X.  Under t = exp(H) a summand of basis indices idx and
+    new in X's root space gamma scales by exp<H, 2 p(alpha_idx) + gamma>,
+    p the sp projection (the identity for gl and sl), and exponentials of
+    distinct patterns are linearly independent, as are square roots of
+    distinct squarefree integers.  So the summands, grouped by
+    (gamma, p(alpha_idx), radicand), must each sum to 0.
+    """
+    m = roots.n // 2 if roots.subgroup == "sp" else None
+    groups: dict = {}
+    for gamma in roots.roots:
+        for gen in root_space(roots, gamma):
+            for idx, c in v.terms.items():
+                w = weight_of(v.backend, idx, m)
+                for new, y in apply_terms(v.backend, gen, {idx: c}).items():
+                    d = v.terms.get(new)
+                    if d is not None:
+                        z = y * d * v.backend.basis_norm_sq(new)
+                        key = (gamma, w, z.s)
+                        groups[key] = groups.get(key, 0) + z.r
+    return not any(groups.values())

@@ -20,7 +20,8 @@ from orbitforge.reps import (PolyBackend, RepVector, moment_map,
 from orbitforge.ternary import classify, display_type, stratifying_set, verify_table1
 
 from oracles import (apply_elementary, apply_matrix, gram, group_scale,
-                     moment_map_float, positive_solution, ricci, scale_by_diag)
+                     moment_map_float, positive_solution, project_to_subspace, ricci,
+                     scale_by_diag)
 from test_flow import EVEN_QUARTICS, _random_even_element
 from test_ratgeom import _oracle_mcc, _random_point_set
 from test_reps import _random_two_step
@@ -68,7 +69,7 @@ def test_criterion_3_worked_example():
     res = solve_moment_equation(mu, beta, subgroup="sp")
     assert res.residual <= NEWTON_TOL
     published = [log(2), 0.0, log(2), -log(2), 0.0, -log(2)]
-    gap = res.project_to_subspace(res.x) - res.project_to_subspace(published)
+    gap = project_to_subspace(res, res.x) - project_to_subspace(res, published)
     assert max(abs(t) for t in gap) <= NEWTON_TOL if len(gap) else True
     rescaled = group_scale([2, 1, 2, h, 1, h], mu)
     assert rescaled == mu.scale(h)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import orbitforge
 from orbitforge import nilgeom
 from orbitforge.cli import CliError, main
+from orbitforge.reps import weight_masses
 
 
 class _Runner:
@@ -235,6 +237,50 @@ def test_minimize_not_distinguished_is_data(runner, tmp_path):
     res = _invoke(runner, ["minimize", "--input", str(path)])
     assert res.exit_code == 0
     assert json.loads(res.output)["outcome"] == "not_nice"
+
+
+def test_check_sp_agrees_with_minimize_on_every_shipped_instance(runner, tmp_path):
+    # 18.(b_t) and 18.(c) have no nice span: check decides them, as minimize
+    # does, by the torus test.  A file's dimension is its largest index, and
+    # no term of 23.(c) names e6, so both commands refuse it as 5-dimensional.
+    path = tmp_path / "mu.json"
+    labels = []
+    for row in nilgeom.load_table2_fixture()["rows"]:
+        for inst in row["instances"]:
+            path.write_text(json.dumps([
+                {"i": t["i"], "j": t["j"], "k": t["k"],
+                 "coeff": {"sq": t["sq"], "sign": t["sign"]}} for t in inst["terms"]]))
+            check = runner.invoke(main, ["check", "--input", str(path), "--group", "sp"])
+            found = runner.invoke(main, ["minimize", "--input", str(path)])
+            if inst["label"] == "23.(c)":
+                assert check.exit_code == found.exit_code == 2
+                assert "even" in check.stderr and "even" in found.stderr
+                continue
+            check, found = json.loads(check.output), json.loads(found.output)
+            assert check["outcome"] == found["outcome"] == "distinguished", inst["label"]
+            assert check["beta"] == found["beta"] and check["witness"] is None
+            beta = [Fraction(x) for x in check["beta"]]
+            cert = [Fraction(x) for x in check["certificate"]]
+            mu = nilgeom.bracket_from_fixture_terms(inst["terms"])
+            weights = list(weight_masses(mu.vector, 3))
+            assert len(cert) == len(weights) and all(c > 0 for c in cert)
+            assert sum(cert) == 1
+            assert [sum(c * w[i] for c, w in zip(cert, weights)) for i in range(6)] == beta
+            labels.append(inst["label"])
+    assert len(labels) == 14
+
+
+def test_check_and_minimize_keep_not_nice_with_an_exterior_beta(runner, tmp_path):
+    # The torus test passes, but beta is not interior and the span is not nice.
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps([
+        {"i": 3, "j": 4, "k": 1, "coeff": "1"},
+        {"i": 4, "j": 6, "k": 5, "coeff": "1"},
+    ]))
+    check = json.loads(_invoke(runner, ["check", "--input", str(path), "--group", "sp"]).output)
+    assert check["outcome"] == "not_nice" and check["witness"] is not None
+    found = json.loads(_invoke(runner, ["minimize", "--input", str(path)]).output)
+    assert found["outcome"] == "not_nice" and found["witness"] == check["witness"]
 
 
 def test_minimize_odd_dimension_is_a_usage_error(runner, tmp_path):

@@ -6,11 +6,14 @@ from itertools import permutations
 
 from orbitforge import _exact
 from orbitforge.lattice import gl_roots, project_to_sp_diag, root_space, sp_diag_roots
-from orbitforge.nicecrit import critical_coefficients, is_distinguished, is_nice
+from orbitforge.nicecrit import (_torus_nice, critical_coefficients, is_distinguished,
+                                 is_nice, orbit_verdict)
+from orbitforge.nilgeom import bracket_from_fixture_terms, load_table2_fixture
 from orbitforge.ratgeom import PointSet, Vec, interior_certificate, mcc
 from orbitforge.reps import PolyBackend, RepVector, support, support_projected
 
-from oracles import apply_elementary, gram, positive_solution
+from oracles import apply_elementary, family_member, gram, positive_solution, torus_diagonal
+from test_orbit_stream_golden import _question, _stream_round
 
 
 def test_gram_of_worked_bracket():
@@ -141,7 +144,7 @@ def test_critical_coefficients_family_and_member():
     c = fam.particular
     assert sum(c) == 1
     assert c[0] == c[2]  # symmetry of the certificate
-    member = fam.member([Fraction(1, 100)])
+    member = family_member(fam, [Fraction(1, 100)])
     total = Vec([0, 0, 0])
     for ci, w in zip(member, weights):
         total = total + ci * w
@@ -189,3 +192,47 @@ def test_sp_root_space_closed_form_spans_the_symplectic_solutions():
                     for c in range(n):
                         assert sum(g[k][r] * jmat[k][c] + jmat[r][k] * g[k][c]
                                    for k in range(n)) == 0
+
+
+def _torus_cases():
+    """(vector, roots): the shipped brackets and their unit-coefficient
+    variants under gl(6) and sp(6), and the questions of
+    ``gen.stream_round(1, 0)`` under the groups the benchmark asks them in."""
+    cases = []
+    for row in load_table2_fixture()["rows"]:
+        for inst in row["instances"]:
+            v = bracket_from_fixture_terms(inst["terms"]).vector
+            unit = RepVector(v.backend, [(idx, 1) for idx in v.terms])
+            for roots in (gl_roots(6), sp_diag_roots(3)):
+                cases += [(v, roots), (unit, roots)]
+    for kind, payload in _stream_round(1, 0):
+        v, _, roots = _question(kind, payload)
+        cases.append((v, roots))
+    return cases
+
+
+def test_pairwise_torus_test_matches_the_all_roots_scan():
+    seen = set()
+    for v, roots in _torus_cases():
+        m = 3 if roots.subgroup == "sp" else None
+        passed = _torus_nice(v, roots)
+        assert passed == torus_diagonal(v, roots), (v, roots.subgroup)
+        seen.add((passed, is_nice(support_projected(v, m) if m else support(v),
+                                   v.backend, roots)[0]))
+    # Both answers occur, and so does a torus pass on a span that is not nice.
+    assert {(True, True), (True, False), (False, False)} <= seen
+
+
+def test_orbit_verdict_overrules_not_nice_only_by_the_torus_test():
+    overruled = 0
+    for v, roots in _torus_cases():
+        m = 3 if roots.subgroup == "sp" else None
+        span = is_distinguished(support_projected(v, m) if m else support(v), v.backend, roots)
+        verdict = orbit_verdict(v, roots)
+        if verdict != span:
+            assert span.outcome == "not_nice" and verdict.outcome == "distinguished"
+            assert _torus_nice(v, roots)
+            assert verdict.beta == mcc(support_projected(v, m) if m else support(v))
+            overruled += 1
+    # At least 18.(b_t) at t = 2, 3, 1/2 and 18.(c) under Sp(6).
+    assert overruled >= 4

@@ -7,17 +7,17 @@ import pytest
 
 from orbitforge.coeffs import Coeff, IrrationalError
 from orbitforge.lattice import sp_diag_roots
-from orbitforge.nicecrit import is_distinguished
+from orbitforge.nicecrit import _torus_nice, is_distinguished, orbit_verdict
 from orbitforge.nilgeom import (LieBracket, NotDistinguishedError,
-                                ValidationError, _torus_diagonal,
+                                ValidationError,
                                 bracket_from_fixture_terms, find_minimal_metric,
                                 load_table2_fixture, run_table2, sym_derivation_dim,
                                 validate, verify_minimal)
 from orbitforge.ratgeom import Vec
 from orbitforge.reps import (RepVector, SymMatrix, moment_map, moment_map_restricted,
-                             support_projected)
+                             support_projected, weight_masses)
 
-from oracles import group_scale, ricci
+from oracles import group_scale, ricci, torus_diagonal
 
 
 def _double_heisenberg() -> LieBracket:
@@ -132,6 +132,13 @@ def test_find_minimal_metric_solves_every_shipped_instance():
             assert res.verdict.outcome == "distinguished" and res.residual <= 1e-12
             mm_sp = moment_map_restricted(res.critical_bracket, "sp", 3)
             assert mm_sp.is_diagonal() and mm_sp.diag() == res.beta, inst["label"]
+            # check's verdict, with a certificate: positive masses on the
+            # weights, summing to 1, with barycentre beta.
+            assert orbit_verdict(mu.vector, sp_diag_roots(3)) == res.verdict
+            cert, weights = res.verdict.certificate, list(weight_masses(mu.vector, 3))
+            assert len(cert) == len(weights) and all(c > 0 for c in cert)
+            assert sum(cert) == 1
+            assert sum((c * w for c, w in zip(cert, weights)), Vec([0] * 6)) == res.beta
             labels.append(inst["label"])
     assert len(labels) == 15
 
@@ -142,7 +149,7 @@ def test_torus_fallback_only_where_the_span_is_not_nice():
     m = 3
     weights = support_projected(mu.vector, m)
     assert is_distinguished(weights, mu.vector.backend, sp_diag_roots(m)).outcome == "not_nice"
-    assert _torus_diagonal(mu.vector, sp_diag_roots(m))
+    assert torus_diagonal(mu.vector, sp_diag_roots(m))
     # The oracle: mm_sp(t.mu) is diagonal at sample rational torus elements.
     for ts in ([2, 3, 5], [Fraction(1, 2), 7, Fraction(2, 3)]):
         t_mu = group_scale(ts + [1 / Fraction(t) for t in reversed(ts)], mu.vector)
@@ -150,7 +157,7 @@ def test_torus_fallback_only_where_the_span_is_not_nice():
     # Unit coefficients on the same support leave the torus orbit's mm_sp
     # off the diagonal, and the span verdict stands.
     unit = RepVector(mu.vector.backend, [(idx, 1) for idx in mu.vector.terms])
-    assert not _torus_diagonal(unit, sp_diag_roots(m))
+    assert not torus_diagonal(unit, sp_diag_roots(m))
     assert not moment_map_restricted(unit, "sp", m).is_diagonal()
 
 
@@ -158,7 +165,9 @@ def test_torus_fallback_keeps_not_nice_without_an_interior_beta():
     # mm_sp is diagonal along the torus orbit, but beta is not interior: with
     # a span that is not nice that proves nothing, so the answer is not_nice.
     mu = LieBracket.from_terms(6, [((2, 3, 0), 1), ((3, 5, 4), 1)])
-    assert _torus_diagonal(mu.vector, sp_diag_roots(3))
+    assert torus_diagonal(mu.vector, sp_diag_roots(3))
+    assert _torus_nice(mu.vector, sp_diag_roots(3))
+    assert orbit_verdict(mu.vector, sp_diag_roots(3)).outcome == "not_nice"
     with pytest.raises(NotDistinguishedError) as err:
         find_minimal_metric(mu)
     assert err.value.verdict.outcome == "not_nice"

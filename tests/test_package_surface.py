@@ -1,9 +1,10 @@
 """The package ships only names that something outside the tests uses.
 
-Every public top-level function and class in ``src/orbitforge`` must be named
-somewhere other than its own definition: in ``src/``, in ``perfbench/*.py``
-or in ``README.md``.  Code that only tests call belongs in ``tests/`` (the
-reference implementations are in ``tests/oracles.py``).
+Every public top-level function and class in ``src/orbitforge``, and every
+public method of a public class, must be named somewhere other than its own
+definition: in ``src/``, in ``perfbench/*.py`` or in ``README.md``.  Code
+that only tests call belongs in ``tests/`` (the reference implementations
+are in ``tests/oracles.py``).
 """
 
 import ast
@@ -29,10 +30,17 @@ def test_every_public_name_is_used_outside_the_tests():
         uses += _words(text)
         lines = text.splitlines()
         for node in ast.parse(text).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                own = "\n".join(lines[node.lineno - 1:node.end_lineno])
-                definitions.append((path.stem, node.name, _words(own)[node.name]))
-    unused = ["%s.%s" % (module, name) for module, name, own in definitions
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [("%s.%s" % (node.name, item.name), item) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")]
+            for qualname, item in members:
+                own = "\n".join(lines[item.lineno - 1:item.end_lineno])
+                definitions.append((path.stem, qualname, item.name, _words(own)[item.name]))
+    unused = ["%s.%s" % (module, qualname) for module, qualname, name, own in definitions
               if uses[name] <= own]
     assert not unused, "public names that only tests use: %s" % ", ".join(unused)

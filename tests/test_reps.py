@@ -13,7 +13,7 @@ from orbitforge.lattice import gl_roots
 from orbitforge.nilgeom import LieBracket
 from orbitforge.ratgeom import PointSet, Vec
 from orbitforge.reps import (BracketBackend, PolyBackend, RepVector, SymMatrix,
-                             apply_diag, moment_map, moment_map_restricted,
+                             apply_terms, moment_map, moment_map_restricted,
                              project_sym_sp, support, support_projected,
                              weight_masses)
 
@@ -59,10 +59,16 @@ def test_elementary_action_shifts_weight_by_a_root():
     assert (w1 - w0) in gl_roots(3)
 
 
-def test_apply_diag_is_weight_pairing():
+def test_diagonal_apply_terms_is_weight_pairing():
+    # pi(diag(x)) scales each term by <weight, x>, for both backends.
     p = RepVector.poly(3, 2, [((1, 1, 0), 1), ((0, 0, 2), 1)])
-    image = apply_diag([1, 2, 5], p)
-    assert image.terms == {(1, 1, 0): Coeff(-3), (0, 0, 2): Coeff(-10)}
+    image = apply_terms(p.backend, [(0, 0, 1), (1, 1, 2), (2, 2, 5)], p.terms)
+    assert image == {(1, 1, 0): Coeff(-3), (0, 0, 2): Coeff(-10)}
+    mu = RepVector.bracket(4, [((0, 1, 3), 1), ((1, 2, 0), Coeff.from_square(2))])
+    x = [1, 2, 5, 7]
+    image = apply_terms(mu.backend, [(i, i, t) for i, t in enumerate(x)], mu.terms)
+    assert image == {(0, 1, 3): Coeff(4), (1, 2, 0): Coeff.from_square(2) * -6}
+    assert image == {idx: c * mu.backend.weight(idx).dot(x) for idx, c in mu.terms.items()}
 
 
 def test_group_scale_is_multiplicative_on_weights():
