@@ -73,6 +73,9 @@ def _parse_coeff(raw):
 
 
 def _load_vector(path: str):
+    """The vector of an input file: a list of terms, or {"n": N, "terms": [...]}."""
+    from .coeffs import json_integer
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -81,10 +84,17 @@ def _load_vector(path: str):
                        % (path, exc.lineno, exc.colno, exc.msg))
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError("bad input file %s: %s: %s" % (path, type(exc).__name__, exc))
+    n = None
+    if isinstance(data, dict) and data.keys() == {"n", "terms"}:
+        try:
+            n = json_integer(data["n"])
+        except ValueError as exc:
+            raise CliError("bad dimension in %s: %s" % (path, exc))
+        data = data["terms"]
     if not isinstance(data, list) or not data:
-        raise CliError("input must be a nonempty list of terms")
+        raise CliError('input must be a nonempty list of terms, or {"n": N, "terms": [...]}')
     try:
-        v = _vector_from_terms(data)
+        v = _vector_from_terms(data, n)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise CliError("bad term in %s: %s: %s" % (path, type(exc).__name__, exc))
     if v.is_zero():
@@ -92,22 +102,27 @@ def _load_vector(path: str):
     return v
 
 
-def _vector_from_terms(data: list):
+def _vector_from_terms(data: list, n=None):
+    """A form or bracket from its terms, of dimension n if given: else a form's
+    exponent length, or a bracket's largest index."""
     from .coeffs import json_integer
     from .reps import RepVector
 
     first = data[0]
     if "exponents" in first:
         exps = [tuple(json_integer(e) for e in t["exponents"]) for t in data]
-        n = len(exps[0])
+        if n is not None and n != len(exps[0]):
+            raise ValueError("n = %d differs from the exponent length %d" % (n, len(exps[0])))
         d = sum(exps[0])
         items = [(e, _parse_coeff(t["coeff"])) for e, t in zip(exps, data)]
-        return RepVector.poly(n, d, items)
+        return RepVector.poly(len(exps[0]), d, items)
     if {"i", "j", "k"} <= set(first):
-        n = max(json_integer(t[key]) for t in data for key in "ijk")
+        top = max(json_integer(t[key]) for t in data for key in "ijk")
+        if n is not None and n < top:
+            raise ValueError("n = %d is below the index %d" % (n, top))
         items = [(tuple(json_integer(t[key]) - 1 for key in "ijk"), _parse_coeff(t["coeff"]))
                  for t in data]
-        return RepVector.bracket(n, items)
+        return RepVector.bracket(top if n is None else n, items)
     raise CliError("terms must carry either 'exponents' or 'i','j','k'")
 
 
@@ -390,7 +405,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = command(check, "check")
     sub.add_argument("--input", dest="path", type=_existing_file, required=True,
-                     metavar="FILE", help="JSON list of form or bracket terms")
+                     metavar="FILE", help='JSON terms: a list, or {"n": N, "terms": [...]}')
     sub.add_argument("--group", choices=("gl", "sl", "sp"), default="gl",
                      help="acting group (default: %(default)s)")
     paper_signs_option(sub, False)
@@ -410,7 +425,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = command(minimize, "minimize")
     sub.add_argument("--input", dest="path", type=_existing_file, required=True,
-                     metavar="FILE", help="JSON list of bracket terms")
+                     metavar="FILE", help='bracket terms: a list, or {"n": N, "terms": [...]}')
     return parser
 
 

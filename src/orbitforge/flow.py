@@ -11,7 +11,8 @@ orthogonally to the weight differences alpha_i - alpha_0, so X is searched on
 their span, whose basis is computed exactly and orthonormalized in binary64.
 Everything runs on plain Python floats: the search space has at most n - 1
 dimensions, and a small Cholesky factorization solves each Newton system.
-The weights and their class masses come from ``reps.weight_masses``.
+The weights and class masses come from ``reps.weight_masses``, a view of
+``reps.weight_classes``.
 """
 
 from __future__ import annotations

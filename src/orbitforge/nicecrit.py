@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 from . import _exact, ratgeom
 from .lattice import RootSystem, root_space
 from .ratgeom import PointSet, Vec, interior_certificate, mcc
-from .reps import RepVector, apply_terms, weight_masses, weight_of
+from .reps import RepVector, apply_terms, weight_classes
 
 
 class NiceWitness(NamedTuple):
@@ -49,14 +49,6 @@ def _root_pairs(weights, roots: RootSystem):
                 yield wi, wj, gamma
 
 
-def _weight_index_table(backend, roots: RootSystem) -> dict:
-    m = _projection(roots)
-    table: dict = {}
-    for idx in backend.all_indices():
-        table.setdefault(weight_of(backend, idx, m), []).append(idx)
-    return table
-
-
 def is_nice(weights: PointSet, backend, roots: RootSystem):
     """Decide whether the span of all basis vectors with these weights is nice.
 
@@ -69,7 +61,7 @@ def is_nice(weights: PointSet, backend, roots: RootSystem):
     """
     if backend.n != roots.n:
         raise ValueError("backend and root system dimensions differ")
-    table = _weight_index_table(backend, roots)
+    table = weight_classes(backend, dict.fromkeys(backend.all_indices()), _projection(roots))
     for w in weights:
         if w not in table:
             raise ValueError("weight %r is not a weight of this representation" % (w,))
@@ -105,7 +97,7 @@ def _hull_verdict(weights: PointSet) -> Verdict:
     return Verdict("distinguished", beta=beta, certificate=tuple(cert))
 
 
-def _torus_nice(v: RepVector, roots: RootSystem) -> bool:
+def _torus_nice(parts: dict, backend, roots: RootSystem) -> bool:
     """Whether mm(t.v) is diagonal for every t in the group's diagonal torus.
 
     The vector form of ``is_nice``'s test, on v's parts v_P of one (projected)
@@ -114,19 +106,15 @@ def _torus_nice(v: RepVector, roots: RootSystem) -> bool:
     and square roots of distinct squarefree integers, are independent.  So
     <pi(X) v_P, v_Q> must vanish radicand by radicand for each root Q - P.
     """
-    m = _projection(roots)
-    parts: dict = {}
-    for idx, c in v.terms.items():
-        parts.setdefault(weight_of(v.backend, idx, m), {})[idx] = c
     for p, q, gamma in _root_pairs(parts, roots):
         for gen in root_space(roots, gamma):
             sums: dict = {}
             for idx, c in parts[p].items():
                 # One term at a time: images of distinct radicands may meet.
-                for new, y in apply_terms(v.backend, gen, {idx: c}).items():
+                for new, y in apply_terms(backend, gen, {idx: c}).items():
                     d = parts[q].get(new)
                     if d is not None:
-                        z = y * d * v.backend.basis_norm_sq(new)
+                        z = y * d * backend.basis_norm_sq(new)
                         sums[z.s] = sums.get(z.s, 0) + z.r
             if any(sums.values()):
                 return False
@@ -140,9 +128,10 @@ def orbit_verdict(v: RepVector, roots: RootSystem) -> Verdict:
     exterior beta proves nothing, so "not_nice" stands.  Raises ValueError
     for the zero vector or when v and the roots differ in dimension.
     """
-    weights = PointSet(weight_masses(v, _projection(roots)))
+    parts = weight_classes(v.backend, dict(v.sorted_terms()), _projection(roots))
+    weights = PointSet(parts)
     verdict = is_distinguished(weights, v.backend, roots)
-    if verdict.outcome == "not_nice" and _torus_nice(v, roots):
+    if verdict.outcome == "not_nice" and _torus_nice(parts, v.backend, roots):
         hull = _hull_verdict(weights)
         if hull.outcome == "distinguished":
             return hull
@@ -187,8 +176,6 @@ def critical_coefficients(weights: PointSet, basis_norms, beta) -> Optional[Crit
         particular = ratgeom.barycentric(weights, beta)
         if particular is None:
             return None
-    rows = [[Fraction(1)] * len(weights)]
-    for coord in range(weights.dim):
-        rows.append([q[coord] for q in weights])
+    rows, _ = ratgeom._barycentric_system(weights, beta)
     kernel = tuple(tuple(k) for k in _exact.nullspace(rows))
     return CriticalFamily(weights, norms, tuple(particular), kernel)

@@ -26,8 +26,8 @@ from .coeffs import (Coeff, IrrationalError, coprime_base, fold_radicands, json_
 from .lattice import sp_diag_roots, sp_sign
 from .nicecrit import Verdict, orbit_verdict
 from .ratgeom import Vec, mcc
-from .reps import (RepVector, SymMatrix, apply_terms, moment_map_restricted,
-                   support_projected, weight_masses, weight_of)
+from .reps import (RepVector, SymMatrix, apply_terms, moment_map_restricted, norm_sq,
+                   support_projected, weight_classes)
 
 
 class LieBracket:
@@ -261,15 +261,16 @@ def find_minimal_metric(mu: LieBracket) -> MinimalMetricResult:
     result = solve_moment_equation(mu.vector, beta, subgroup="sp")
 
     # The certificate is a critical mass distribution: positive masses on
-    # the weights, summing to 1, with barycentre beta.
-    class_mass = weight_masses(mu.vector, m)
-    target = dict(zip(class_mass, verdict.certificate))
-    terms = {}
-    for idx, c in mu.vector.terms.items():
-        pw = weight_of(mu.vector.backend, idx, m)
-        sign = 1 if c.r > 0 else -1
-        terms[idx] = Coeff.from_square(c.square() * target[pw] / class_mass[pw], sign)
-    critical = RepVector(mu.vector.backend, terms)
+    # the weights (in the verdict's class order), summing to 1, with
+    # barycentre beta.  Each class's squared coefficients scale by one factor.
+    backend = mu.vector.backend
+    scale = {}
+    for part, target in zip(weight_classes(backend, dict(mu.vector.sorted_terms()), m).values(),
+                            verdict.certificate):
+        scale.update(dict.fromkeys(part, target / norm_sq(backend, part)))
+    critical = RepVector(backend, {
+        idx: Coeff.from_square(c.square() * scale[idx], 1 if c.r > 0 else -1)
+        for idx, c in mu.vector.terms.items()})
     return MinimalMetricResult(verdict, result.x, result.residual, critical, beta)
 
 

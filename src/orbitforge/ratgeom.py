@@ -165,16 +165,21 @@ def segment_min_norm(a, b) -> Vec:
     return Vec(x + t * y for x, y in zip(a, step))
 
 
-def barycentric(s: PointSet, p) -> Optional[list[Fraction]]:
-    """Nonnegative coefficients summing to 1 with sum c_i s_i = p, or None."""
+def _barycentric_system(s: PointSet, p) -> tuple[list, list]:
+    """Rows and right-hand side of sum c_i = 1 and sum c_i s_i = p.
+
+    The first row is [1, ..., 1], then one row per coordinate.
+    """
     p = Vec(p)
     if p.dim != s.dim:
         raise ValueError("dimension mismatch")
-    a_eq = [[Fraction(1)] * len(s)]
-    b_eq = [Fraction(1)]
-    for coord in range(s.dim):
-        a_eq.append([q[coord] for q in s])
-        b_eq.append(p[coord])
+    rows = [[Fraction(1)] * len(s)] + [[q[coord] for q in s] for coord in range(s.dim)]
+    return rows, [Fraction(1), *p]
+
+
+def barycentric(s: PointSet, p) -> Optional[list[Fraction]]:
+    """Nonnegative coefficients summing to 1 with sum c_i s_i = p, or None."""
+    a_eq, b_eq = _barycentric_system(s, p)
     res = _exact.simplex_max([Fraction(0)] * len(s), a_eq, b_eq)
     if res.status != "optimal":
         return None
@@ -187,20 +192,11 @@ def interior_certificate(s: PointSet, p) -> Optional[list[Fraction]]:
     Solves the exact LP  max t  s.t.  c_i >= t, sum c = 1, sum c_i s_i = p
     and returns c when the optimum is strictly positive, else None.
     """
-    p = Vec(p)
-    if p.dim != s.dim:
-        raise ValueError("dimension mismatch")
+    rows, b_eq = _barycentric_system(s, p)
     n = len(s)
     # Variables: c_1..c_n, t, slack_1..slack_n (c_i - t - slack_i = 0).
     nvars = 2 * n + 1
-    a_eq: list[list[Fraction]] = []
-    b_eq: list[Fraction] = []
-    row = [Fraction(1)] * n + [Fraction(0)] * (n + 1)
-    a_eq.append(row)
-    b_eq.append(Fraction(1))
-    for coord in range(s.dim):
-        a_eq.append([q[coord] for q in s] + [Fraction(0)] * (n + 1))
-        b_eq.append(p[coord])
+    a_eq = [row + [Fraction(0)] * (n + 1) for row in rows]
     for i in range(n):
         row = [Fraction(0)] * nvars
         row[i] = Fraction(1)

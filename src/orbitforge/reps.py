@@ -16,11 +16,11 @@ basis index, as at most three (index, integer factor) pairs.  The sparse
 form of ``lattice.root_space``'s generators), and the closed-form moment map
 mm_ab = <pi(E_ab)v, v> / |v|^2 use nothing else of the action.
 
-``weight_of(backend, idx, m)`` is the weight of one basis index, projected to
-the sp(2m) diagonal when m is given; ``weight_masses(v, m)`` maps each distinct
-(projected) weight of v to its class mass sum c^2 |e_idx|^2.  The supports,
-nice-space tables, Newton solve and minimal metric all read weights through
-these two.
+``weight_classes(backend, terms, m)`` groups basis indices by their weight,
+projected to the sp(2m) diagonal when m is given: {weight: {idx: coeff}}.
+It is the one grouping.  The niceness test, the torus test, the supports,
+``weight_masses`` (each class's mass sum c^2 |e_idx|^2, for the Newton
+solve) and the minimal metric's critical bracket all read it.
 
 Vectors are sparse maps from basis index to an exact coefficient (rational or
 a single square root, see ``coeffs``), so that moment maps and criticality
@@ -83,11 +83,6 @@ class SymMatrix:
 
     def __sub__(self, other):
         return SymMatrix([a - b for a, b in zip(self.rows, other.rows)])
-
-    def __mul__(self, scalar):
-        return SymMatrix([r * Fraction(scalar) for r in self.rows])
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, SymMatrix) and self.rows == other.rows
@@ -235,17 +230,6 @@ class RepVector:
     def sorted_terms(self):
         return sorted(self.terms.items())
 
-    def __add__(self, other):
-        if other.backend != self.backend:
-            raise ValueError("backend mismatch")
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            _accumulate(out, idx, c)
-        return RepVector(self.backend, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, factor) -> "RepVector":
         factor = Coeff(factor) if not isinstance(factor, Coeff) else factor
         return RepVector(self.backend,
@@ -256,13 +240,16 @@ class RepVector:
                 and other.terms == self.terms)
 
     def norm_sq(self) -> Fraction:
-        total = Fraction(0)
-        for idx, c in self.terms.items():
-            total += c.square() * self.backend.basis_norm_sq(idx)
-        return total
+        return norm_sq(self.backend, self.terms)
 
     def __repr__(self):
         return "RepVector(%r, %r)" % (self.backend, self.sorted_terms())
+
+
+def norm_sq(backend, terms: dict) -> Fraction:
+    """sum c^2 |e_idx|^2 over a sparse map basis index -> Coeff: |v|^2, or a class mass."""
+    return sum((c.square() * backend.basis_norm_sq(idx) for idx, c in terms.items()),
+               Fraction(0))
 
 
 def weight_of(backend, idx, m: Optional[int] = None) -> Vec:
@@ -271,25 +258,33 @@ def weight_of(backend, idx, m: Optional[int] = None) -> Vec:
     return w if m is None else project_to_sp_diag(w, m)
 
 
+def weight_classes(backend, terms: dict, m: Optional[int] = None) -> dict:
+    """{(projected) weight: {idx: coeff}} for a map basis index -> coefficient.
+
+    Weights, and the indices within each class, keep the order of ``terms``.
+    """
+    classes: dict = {}
+    for idx, c in terms.items():
+        classes.setdefault(weight_of(backend, idx, m), {})[idx] = c
+    return classes
+
+
 def weight_masses(v: RepVector, m: Optional[int] = None) -> dict:
-    """{distinct (projected) weight: class mass sum c^2 |e_idx|^2}, in term order."""
-    masses: dict = {}
-    for idx, c in v.sorted_terms():
-        w = weight_of(v.backend, idx, m)
-        masses[w] = masses.get(w, 0) + c.square() * v.backend.basis_norm_sq(idx)
-    return masses
+    """{distinct (projected) weight: class mass sum c^2 |e_idx|^2}, in sorted term order."""
+    classes = weight_classes(v.backend, dict(v.sorted_terms()), m)
+    return {w: norm_sq(v.backend, part) for w, part in classes.items()}
 
 
 def support(v: RepVector) -> PointSet:
     """Ordered set of distinct weights carried by the nonzero terms."""
     if v.is_zero():
         raise ValueError("empty support: zero vector")
-    return PointSet(dict.fromkeys(weight_of(v.backend, i) for i, _ in v.sorted_terms()))
+    return PointSet(weight_classes(v.backend, dict(v.sorted_terms())))
 
 
 def support_projected(v: RepVector, m: int) -> PointSet:
     """Distinct sp(2m)-weights: the gl weights projected to the sp diagonal."""
-    return PointSet(dict.fromkeys(weight_of(v.backend, i, m) for i, _ in v.sorted_terms()))
+    return PointSet(weight_classes(v.backend, dict(v.sorted_terms()), m))
 
 
 def apply_terms(backend, entries, terms: dict) -> dict:

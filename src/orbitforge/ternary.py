@@ -30,7 +30,7 @@ def stratifying_set(d: int, n: int = 3) -> list[Vec]:
     form segment point.  Labels are chamber-canonical (ascending coordinates),
     sorted by norm descending, then lexicographically.  For n = 3 the labels
     are checked against the published degree-4 classification, and for
-    d = 4 and 5 against triples: the mcc of every weight triple whose pairs
+    d = 4, 5 and 6 against triples: the mcc of every weight triple whose pairs
     are not root-related is already a pair label.
     """
     if d < 1:

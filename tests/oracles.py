@@ -10,7 +10,8 @@ a quantity the package computes another way:
   the closed-form ``reps.project_sym_sp``;
 * ``group_scale``, ``apply_elementary``, ``apply_matrix`` and ``inner``: the
   exact group and Lie-algebra actions and the inner product, for the action
-  and adjointness checks;
+  and adjointness checks, with ``vector_sub`` and ``sym_scale`` for the
+  differences and multiples these checks compare;
 * ``scale_by_diag`` and ``moment_map_float``: the binary64 diagonal action
   and moment map on a plain {basis index: float} map, the float check of
   Newton solutions, and ``project_to_subspace``, which compares Newton
@@ -167,6 +168,18 @@ def group_scale(multipliers, v: RepVector) -> RepVector:
             factor *= t ** a.numerator
         out[idx] = c * factor
     return RepVector(v.backend, out)
+
+
+def vector_sub(v: RepVector, w: RepVector) -> RepVector:
+    """v - w for vectors of one backend."""
+    if w.backend != v.backend:
+        raise ValueError("backend mismatch")
+    return RepVector(v.backend, [*v.terms.items(), *((idx, -c) for idx, c in w.terms.items())])
+
+
+def sym_scale(mat: SymMatrix, scalar) -> SymMatrix:
+    """scalar * mat, entry by entry."""
+    return SymMatrix([r * Fraction(scalar) for r in mat.rows])
 
 
 def inner(v: RepVector, w: RepVector) -> Coeff:

@@ -21,7 +21,7 @@ from orbitforge.ternary import classify, display_type, stratifying_set, verify_t
 
 from oracles import (apply_elementary, apply_matrix, gram, group_scale,
                      moment_map_float, positive_solution, project_to_subspace, ricci,
-                     scale_by_diag)
+                     scale_by_diag, sym_scale)
 from test_flow import EVEN_QUARTICS, _random_even_element
 from test_ratgeom import _oracle_mcc, _random_point_set
 from test_reps import _random_two_step
@@ -108,7 +108,7 @@ def test_criterion_5_oracle_equivalences():
         v = _random_two_step(rng, rng.randint(4, 7))
         if v.is_zero():
             continue
-        assert moment_map(v) * v.norm_sq() == 4 * ricci(LieBracket(v))
+        assert sym_scale(moment_map(v), v.norm_sq()) == sym_scale(ricci(LieBracket(v)), 4)
         done += 1
     # (d) fast path vs full generator-image nice check on monomial spans.
     backend = PolyBackend(3, 4)

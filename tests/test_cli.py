@@ -241,21 +241,24 @@ def test_minimize_not_distinguished_is_data(runner, tmp_path):
 
 def test_check_sp_agrees_with_minimize_on_every_shipped_instance(runner, tmp_path):
     # 18.(b_t) and 18.(c) have no nice span: check decides them, as minimize
-    # does, by the torus test.  A file's dimension is its largest index, and
-    # no term of 23.(c) names e6, so both commands refuse it as 5-dimensional.
+    # does, by the torus test.  Each file states n = 6: a bare list's
+    # dimension is its largest index, and no term of 23.(c) names e6, so
+    # both commands refuse 23.(c)'s bare list as 5-dimensional.
     path = tmp_path / "mu.json"
     labels = []
     for row in nilgeom.load_table2_fixture()["rows"]:
         for inst in row["instances"]:
-            path.write_text(json.dumps([
-                {"i": t["i"], "j": t["j"], "k": t["k"],
-                 "coeff": {"sq": t["sq"], "sign": t["sign"]}} for t in inst["terms"]]))
-            check = runner.invoke(main, ["check", "--input", str(path), "--group", "sp"])
-            found = runner.invoke(main, ["minimize", "--input", str(path)])
+            terms = [{"i": t["i"], "j": t["j"], "k": t["k"],
+                      "coeff": {"sq": t["sq"], "sign": t["sign"]}} for t in inst["terms"]]
             if inst["label"] == "23.(c)":
+                path.write_text(json.dumps(terms))
+                check = runner.invoke(main, ["check", "--input", str(path), "--group", "sp"])
+                found = runner.invoke(main, ["minimize", "--input", str(path)])
                 assert check.exit_code == found.exit_code == 2
                 assert "even" in check.stderr and "even" in found.stderr
-                continue
+            path.write_text(json.dumps({"n": 6, "terms": terms}))
+            check = runner.invoke(main, ["check", "--input", str(path), "--group", "sp"])
+            found = runner.invoke(main, ["minimize", "--input", str(path)])
             check, found = json.loads(check.output), json.loads(found.output)
             assert check["outcome"] == found["outcome"] == "distinguished", inst["label"]
             assert check["beta"] == found["beta"] and check["witness"] is None
@@ -267,7 +270,45 @@ def test_check_sp_agrees_with_minimize_on_every_shipped_instance(runner, tmp_pat
             assert sum(cert) == 1
             assert [sum(c * w[i] for c, w in zip(cert, weights)) for i in range(6)] == beta
             labels.append(inst["label"])
-    assert len(labels) == 14
+            if inst["label"] == "23.(c)":
+                assert check["beta"] == ["-1/2", "-1/2", "1/2", "-1/2", "1/2", "1/2"]
+    assert len(labels) == 15
+
+
+WORKED_TERMS = [{"i": 1, "j": 4, "k": 6, "coeff": "1"}, {"i": 2, "j": 3, "k": 5, "coeff": "1"}]
+
+
+@pytest.mark.parametrize("command", ["check", "minimize"])
+def test_a_stated_dimension_matches_the_bare_list(runner, tmp_path, command):
+    bare, stated = tmp_path / "bare.json", tmp_path / "stated.json"
+    bare.write_text(json.dumps(WORKED_TERMS))
+    stated.write_text(json.dumps({"n": 6, "terms": WORKED_TERMS}))
+    group = ["--group", "sp"] if command == "check" else []
+    first = _invoke(runner, [command, "--input", str(bare), *group])
+    second = _invoke(runner, [command, "--input", str(stated), *group])
+    assert first.exit_code == second.exit_code == 0
+    assert first.output == second.output
+
+
+BAD_DIMENSIONS = {
+    "float_n": {"n": 6.0, "terms": WORKED_TERMS},
+    "string_n": {"n": "6", "terms": WORKED_TERMS},
+    "boolean_n": {"n": True, "terms": WORKED_TERMS},
+    "n_below_an_index": {"n": 5, "terms": WORKED_TERMS},
+    "n_not_the_exponent_length": {"n": 4, "terms": [{"exponents": [1, 3, 0], "coeff": "1"}]},
+}
+
+
+@pytest.mark.parametrize("command", ["check", "minimize"])
+@pytest.mark.parametrize("name", sorted(BAD_DIMENSIONS))
+def test_bad_stated_dimensions_are_one_line_errors(runner, tmp_path, command, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_DIMENSIONS[name]))
+    res = runner.invoke(main, [command, "--input", str(path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ")
 
 
 def test_check_and_minimize_keep_not_nice_with_an_exterior_beta(runner, tmp_path):

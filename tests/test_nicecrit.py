@@ -10,7 +10,7 @@ from orbitforge.nicecrit import (_torus_nice, critical_coefficients, is_distingu
                                  is_nice, orbit_verdict)
 from orbitforge.nilgeom import bracket_from_fixture_terms, load_table2_fixture
 from orbitforge.ratgeom import PointSet, Vec, interior_certificate, mcc
-from orbitforge.reps import PolyBackend, RepVector, support, support_projected
+from orbitforge.reps import PolyBackend, RepVector, support, support_projected, weight_classes
 
 from oracles import apply_elementary, family_member, gram, positive_solution, torus_diagonal
 from test_orbit_stream_golden import _question, _stream_round
@@ -215,7 +215,7 @@ def test_pairwise_torus_test_matches_the_all_roots_scan():
     seen = set()
     for v, roots in _torus_cases():
         m = 3 if roots.subgroup == "sp" else None
-        passed = _torus_nice(v, roots)
+        passed = _torus_nice(weight_classes(v.backend, v.terms, m), v.backend, roots)
         assert passed == torus_diagonal(v, roots), (v, roots.subgroup)
         seen.add((passed, is_nice(support_projected(v, m) if m else support(v),
                                    v.backend, roots)[0]))
@@ -231,7 +231,7 @@ def test_orbit_verdict_overrules_not_nice_only_by_the_torus_test():
         verdict = orbit_verdict(v, roots)
         if verdict != span:
             assert span.outcome == "not_nice" and verdict.outcome == "distinguished"
-            assert _torus_nice(v, roots)
+            assert _torus_nice(weight_classes(v.backend, v.terms, m), v.backend, roots)
             assert verdict.beta == mcc(support_projected(v, m) if m else support(v))
             overruled += 1
     # At least 18.(b_t) at t = 2, 3, 1/2 and 18.(c) under Sp(6).

@@ -15,9 +15,9 @@ from orbitforge.nilgeom import (LieBracket, NotDistinguishedError,
                                 validate, verify_minimal)
 from orbitforge.ratgeom import Vec
 from orbitforge.reps import (RepVector, SymMatrix, moment_map, moment_map_restricted,
-                             support_projected, weight_masses)
+                             support_projected, weight_classes, weight_masses)
 
-from oracles import group_scale, ricci, torus_diagonal
+from oracles import group_scale, ricci, sym_scale, torus_diagonal
 
 
 def _double_heisenberg() -> LieBracket:
@@ -62,7 +62,7 @@ def test_ricci_heisenberg():
     mu = LieBracket.from_terms(3, [((0, 1, 2), 1)])
     h = Fraction(1, 2)
     assert ricci(mu) == SymMatrix.diagonal([-h, -h, h])
-    assert moment_map(mu.vector) * mu.vector.norm_sq() == 4 * ricci(mu)
+    assert sym_scale(moment_map(mu.vector), mu.vector.norm_sq()) == sym_scale(ricci(mu), 4)
 
 
 def test_verify_minimal_worked_example():
@@ -166,7 +166,8 @@ def test_torus_fallback_keeps_not_nice_without_an_interior_beta():
     # a span that is not nice that proves nothing, so the answer is not_nice.
     mu = LieBracket.from_terms(6, [((2, 3, 0), 1), ((3, 5, 4), 1)])
     assert torus_diagonal(mu.vector, sp_diag_roots(3))
-    assert _torus_nice(mu.vector, sp_diag_roots(3))
+    assert _torus_nice(weight_classes(mu.vector.backend, mu.vector.terms, 3),
+                       mu.vector.backend, sp_diag_roots(3))
     assert orbit_verdict(mu.vector, sp_diag_roots(3)).outcome == "not_nice"
     with pytest.raises(NotDistinguishedError) as err:
         find_minimal_metric(mu)

@@ -15,9 +15,9 @@ from orbitforge.ratgeom import PointSet, Vec
 from orbitforge.reps import (BracketBackend, PolyBackend, RepVector, SymMatrix,
                              apply_terms, moment_map, moment_map_restricted,
                              project_sym_sp, support, support_projected,
-                             weight_masses)
+                             weight_classes, weight_masses, weight_of)
 
-from oracles import (apply_elementary, apply_matrix, group_scale, ricci,
+from oracles import (apply_elementary, apply_matrix, group_scale, ricci, sym_scale,
                      sym_sp_basis)
 
 
@@ -120,6 +120,21 @@ def test_weight_masses_follow_the_support(kind, group, data):
     assert sum(masses.values()) == v.norm_sq()
 
 
+@pytest.mark.parametrize("kind", ["poly", "bracket"])
+@pytest.mark.parametrize("group", ["gl", "sp"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_weight_classes_partition_the_terms_in_their_order(kind, group, data):
+    v = data.draw(_vectors(kind, group))
+    m = v.backend.n // 2 if group == "sp" else None
+    classes = weight_classes(v.backend, v.terms, m)
+    assert list(classes) == list(dict.fromkeys(weight_of(v.backend, i, m) for i in v.terms))
+    for w, part in classes.items():
+        assert list(part) == [i for i in v.terms if weight_of(v.backend, i, m) == w]
+        assert all(part[i] is v.terms[i] for i in part)
+    assert sum(len(part) for part in classes.values()) == len(v.terms)
+
+
 def test_moment_map_of_a_monomial_is_its_weight():
     for idx in ((4, 0, 0), (2, 1, 1), (0, 2, 2)):
         mm = moment_map(RepVector.poly(3, 4, [(idx, Coeff(1, 5))]))
@@ -156,7 +171,7 @@ def _basis_projection(mat, m):
     coeffs = _exact.solve(gram, [b.trace_inner(mat) for b in basis])
     out = SymMatrix([[0] * mat.n for _ in range(mat.n)])
     for c, b in zip(coeffs, basis):
-        out = out + c * b
+        out = out + sym_scale(b, c)
     return out
 
 
@@ -203,5 +218,5 @@ def test_ricci_moment_map_identity_random_brackets():
         if v.is_zero():
             continue
         mu = LieBracket(v)
-        assert moment_map(v) * v.norm_sq() == 4 * ricci(mu)
+        assert sym_scale(moment_map(v), v.norm_sq()) == sym_scale(ricci(mu), 4)
         done += 1
