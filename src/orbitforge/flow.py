@@ -11,8 +11,8 @@ orthogonally to the weight differences alpha_i - alpha_0, so X is searched on
 their span, whose basis is computed exactly and orthonormalized in binary64.
 Everything runs on plain Python floats: the search space has at most n - 1
 dimensions, and a small Cholesky factorization solves each Newton system.
-The weights and class masses come from ``reps.weight_masses``, a view of
-``reps.weight_classes``.
+``_newton`` runs on the class masses (``reps.weight_masses``), and
+``solve_moment_equation`` checks beta on them first.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from . import _exact
 from .ratgeom import PointSet, Vec, interior_certificate, mcc
-from .reps import RepVector, weight_masses
+from .reps import RepVector, weight_classes, weight_masses
 
 ARMIJO = 1e-4
 NEWTON_TOL = 1e-12
@@ -87,12 +87,18 @@ def solve_moment_equation(w: RepVector, beta, subgroup: str = "gl") -> NewtonRes
         raise ValueError("unknown subgroup %r" % subgroup)
     n = w.backend.n
     beta = Vec(beta)
-    masses = weight_masses(w, n // 2 if subgroup == "sp" else None)
+    m = n // 2 if subgroup == "sp" else None
+    masses = weight_masses(w.backend, weight_classes(w.backend, dict(w.sorted_terms()), m))
     sup = PointSet(masses)
     if mcc(sup) != beta:
         raise ValueError("beta is not the mcc of the support")
     if interior_certificate(sup, beta) is None:
         raise ValueError("beta is not in the relative interior: no solution")
+    return _newton(masses, beta, n)
+
+
+def _newton(masses: dict, beta: Vec, n: int) -> NewtonResult:
+    """Newton on class masses {weight: mass} in R^n; beta is their interior mcc."""
     alphas = sorted(masses)
     c0 = [float(masses[a]) for a in alphas]
 

@@ -52,12 +52,11 @@ def _root_pairs(weights, roots: RootSystem):
 def is_nice(weights: PointSet, backend, roots: RootSystem):
     """Decide whether the span of all basis vectors with these weights is nice.
 
-    Returns (True, None) or (False, NiceWitness).  Fast path: if no pairwise
-    weight difference is a root, the span is nice.  Otherwise, for each pair
-    (alpha_i, alpha_j) with gamma = alpha_j - alpha_i a root, the image of the
-    alpha_i weight space under every generator of g_gamma
-    (``lattice.root_space``) must have no component on the span's basis
-    indices.
+    Returns (True, None) or (False, NiceWitness).  The span is nice unless,
+    for a pair (alpha_i, alpha_j) with gamma = alpha_j - alpha_i a root, a
+    generator of g_gamma (``lattice.root_space``) sends the alpha_i weight
+    space to a vector with a component on the span.  It maps that weight
+    space into the alpha_j one, all in the span, so any nonzero image does.
     """
     if backend.n != roots.n:
         raise ValueError("backend and root system dimensions differ")
@@ -65,14 +64,10 @@ def is_nice(weights: PointSet, backend, roots: RootSystem):
     for w in weights:
         if w not in table:
             raise ValueError("weight %r is not a weight of this representation" % (w,))
-    pairs = list(_root_pairs(weights, roots))
-    if not pairs:
-        return True, None
-    span_indices = {idx for w in weights for idx in table[w]}
-    for wi, wj, gamma in pairs:
+    for wi, wj, gamma in _root_pairs(weights, roots):
         for gen in root_space(roots, gamma):
             for idx in table[wi]:
-                if any(t in span_indices for t in apply_terms(backend, gen, {idx: 1})):
+                if apply_terms(backend, gen, {idx: 1}):
                     return False, NiceWitness(wi, wj, gamma)
     return True, None
 
@@ -128,10 +123,15 @@ def orbit_verdict(v: RepVector, roots: RootSystem) -> Verdict:
     exterior beta proves nothing, so "not_nice" stands.  Raises ValueError
     for the zero vector or when v and the roots differ in dimension.
     """
-    parts = weight_classes(v.backend, dict(v.sorted_terms()), _projection(roots))
+    return _orbit_verdict(weight_classes(v.backend, dict(v.sorted_terms()), _projection(roots)),
+                          v.backend, roots)
+
+
+def _orbit_verdict(parts: dict, backend, roots: RootSystem) -> Verdict:
+    """``orbit_verdict`` on v's weight classes, {weight: {idx: coeff}}."""
     weights = PointSet(parts)
-    verdict = is_distinguished(weights, v.backend, roots)
-    if verdict.outcome == "not_nice" and _torus_nice(parts, v.backend, roots):
+    verdict = is_distinguished(weights, backend, roots)
+    if verdict.outcome == "not_nice" and _torus_nice(parts, backend, roots):
         hull = _hull_verdict(weights)
         if hull.outcome == "distinguished":
             return hull

@@ -24,10 +24,10 @@ from . import _exact
 from .coeffs import (Coeff, IrrationalError, coprime_base, fold_radicands, json_integer,
                      json_rational)
 from .lattice import sp_diag_roots, sp_sign
-from .nicecrit import Verdict, orbit_verdict
+from .nicecrit import Verdict, _orbit_verdict
 from .ratgeom import Vec, mcc
-from .reps import (RepVector, SymMatrix, apply_terms, moment_map_restricted, norm_sq,
-                   support_projected, weight_classes)
+from .reps import (RepVector, SymMatrix, apply_terms, moment_map_restricted,
+                   support_projected, weight_classes, weight_masses)
 
 
 class LieBracket:
@@ -242,36 +242,38 @@ def find_minimal_metric(mu: LieBracket) -> MinimalMetricResult:
     NotDistinguishedError (carrying the verdict of the span test, so
     "not_nice" when only the torus test passed) otherwise, and ValueError
     for odd dimension or the zero bracket.  Returns the Newton solution X of
-    mm_sp(exp(X).mu) = beta together with the exact critical bracket obtained
+    mm_sp(exp(X).mu) = beta together with an exact critical bracket, obtained
     by redistributing the weight-class masses onto the verdict's interior
     certificate; that scales each weight part by one factor, so the torus
-    test's sums stay zero and the bracket is critical too.
+    test's sums stay zero and mm_sp of the bracket is diag(beta).  Where the
+    projected weights are affinely independent the certificate is the only
+    critical mass distribution and the bracket is exp(X).mu normalized; on
+    dependent weights it can lie outside mu's orbit.
     """
-    from .flow import solve_moment_equation
+    from .flow import _newton
 
     m = mu.n // 2
     if 2 * m != mu.n:
         raise ValueError("a minimal compatible metric needs even dimension")
     if mu.vector.is_zero():
         raise ValueError("the zero bracket has no minimal metric")
-    verdict = orbit_verdict(mu.vector, sp_diag_roots(m))
+    backend = mu.vector.backend
+    parts = weight_classes(backend, dict(mu.vector.sorted_terms()), m)
+    verdict = _orbit_verdict(parts, backend, sp_diag_roots(m))
     if verdict.outcome != "distinguished":
         raise NotDistinguishedError(verdict)
-    beta = verdict.beta
-    result = solve_moment_equation(mu.vector, beta, subgroup="sp")
+    masses = weight_masses(backend, parts)
+    result = _newton(masses, verdict.beta, mu.n)
 
     # The certificate is a critical mass distribution: positive masses on
-    # the weights (in the verdict's class order), summing to 1, with
-    # barycentre beta.  Each class's squared coefficients scale by one factor.
-    backend = mu.vector.backend
-    scale = {}
-    for part, target in zip(weight_classes(backend, dict(mu.vector.sorted_terms()), m).values(),
-                            verdict.certificate):
-        scale.update(dict.fromkeys(part, target / norm_sq(backend, part)))
+    # the weights (in class order), summing to 1, with barycentre beta.
+    # Each class's squared coefficients scale by one factor.
+    scale = {idx: target / masses[w]
+             for (w, part), target in zip(parts.items(), verdict.certificate) for idx in part}
     critical = RepVector(backend, {
         idx: Coeff.from_square(c.square() * scale[idx], 1 if c.r > 0 else -1)
         for idx, c in mu.vector.terms.items()})
-    return MinimalMetricResult(verdict, result.x, result.residual, critical, beta)
+    return MinimalMetricResult(verdict, result.x, result.residual, critical, verdict.beta)
 
 
 def sym_derivation_dim(mu: LieBracket) -> int:

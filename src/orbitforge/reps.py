@@ -269,10 +269,9 @@ def weight_classes(backend, terms: dict, m: Optional[int] = None) -> dict:
     return classes
 
 
-def weight_masses(v: RepVector, m: Optional[int] = None) -> dict:
-    """{distinct (projected) weight: class mass sum c^2 |e_idx|^2}, in sorted term order."""
-    classes = weight_classes(v.backend, dict(v.sorted_terms()), m)
-    return {w: norm_sq(v.backend, part) for w, part in classes.items()}
+def weight_masses(backend, classes: dict) -> dict:
+    """{weight: class mass sum c^2 |e_idx|^2} for ``weight_classes``, in its order."""
+    return {w: norm_sq(backend, part) for w, part in classes.items()}
 
 
 def support(v: RepVector) -> PointSet:

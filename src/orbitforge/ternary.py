@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .lattice import chamber_canonical, gl_roots
-from .nicecrit import CriticalFamily, critical_coefficients, is_nice
+from .nicecrit import CriticalFamily, critical_coefficients
 from .ratgeom import PointSet, Vec, segment_min_norm
 from .reps import PolyBackend
 
@@ -86,23 +86,15 @@ def maximal_nice_subsets(weights: PointSet):
     The weights are those of R[x_1..x_n]_d, n their dimension and d minus the
     sum of any one.  For monomial spans niceness is pairwise (no weight
     difference a root), so these are the maximal independent sets of the
-    root-difference graph; each candidate is confirmed with the full
-    perpendicularity check.
+    root-difference graph: with no root-related pair, ``nicecrit.is_nice``
+    has no image to check.
     """
     roots = gl_roots(weights.dim)
     edges = [(i, j) for i in range(len(weights)) for j in range(i + 1, len(weights))
              if (weights[i] - weights[j]) in roots]
-    backend = PolyBackend(weights.dim, int(-sum(weights[0])))
-    out = []
-    for indep in _maximal_independent_sets(len(weights), edges):
-        subset = PointSet([weights[i] for i in indep])
-        nice, witness = is_nice(subset, backend, roots)
-        if not nice:
-            raise AssertionError("independent set failed the full nice check: %r"
-                                 % (witness,))
-        out.append(subset)
-    out.sort(key=lambda s: s.points)
-    return out
+    return sorted((PointSet([weights[i] for i in indep])
+                   for indep in _maximal_independent_sets(len(weights), edges)),
+                  key=lambda s: s.points)
 
 
 class StratumFamily(NamedTuple):

@@ -15,7 +15,7 @@ import pytest
 import orbitforge
 from orbitforge import nilgeom
 from orbitforge.cli import CliError, main
-from orbitforge.reps import weight_masses
+from orbitforge.reps import support_projected
 
 
 class _Runner:
@@ -104,6 +104,20 @@ def test_check_form_distinguished(runner, tmp_path):
     assert payload["beta"] == ["-11/7", "-9/7", "-8/7"]
     res = _invoke(runner, ["check", "--input", str(path), "--paper-signs"])
     assert json.loads(res.output)["beta"] == ["11/7", "9/7", "8/7"]
+
+
+def test_check_sl_prints_the_gl_label(runner, tmp_path):
+    # Every weight of x^4 + y^4 + z^4 has trace -4, so the trace-free label
+    # is beta + (4/3)(1, 1, 1) = 0; check prints the gl label beta itself.
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps([{"exponents": e, "coeff": "1"}
+                                for e in ([4, 0, 0], [0, 4, 0], [0, 0, 4])]))
+    res = _invoke(runner, ["check", "--input", str(path), "--group", "sl"])
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {
+        "command": "check", "group": "sl", "outcome": "distinguished",
+        "beta": ["-4/3", "-4/3", "-4/3"], "certificate": ["1/3", "1/3", "1/3"],
+        "witness": None}
 
 
 def test_check_not_nice_is_data_not_error(runner, tmp_path):
@@ -265,7 +279,7 @@ def test_check_sp_agrees_with_minimize_on_every_shipped_instance(runner, tmp_pat
             beta = [Fraction(x) for x in check["beta"]]
             cert = [Fraction(x) for x in check["certificate"]]
             mu = nilgeom.bracket_from_fixture_terms(inst["terms"])
-            weights = list(weight_masses(mu.vector, 3))
+            weights = list(support_projected(mu.vector, 3))
             assert len(cert) == len(weights) and all(c > 0 for c in cert)
             assert sum(cert) == 1
             assert [sum(c * w[i] for c, w in zip(cert, weights)) for i in range(6)] == beta

@@ -10,9 +10,10 @@ from orbitforge.nicecrit import (_torus_nice, critical_coefficients, is_distingu
                                  is_nice, orbit_verdict)
 from orbitforge.nilgeom import bracket_from_fixture_terms, load_table2_fixture
 from orbitforge.ratgeom import PointSet, Vec, interior_certificate, mcc
-from orbitforge.reps import PolyBackend, RepVector, support, support_projected, weight_classes
+from orbitforge.reps import (BracketBackend, PolyBackend, RepVector, support, support_projected,
+                             weight_classes, weight_of)
 
-from oracles import apply_elementary, family_member, gram, positive_solution, torus_diagonal
+from oracles import apply_matrix, family_member, gram, positive_solution, torus_diagonal
 from test_orbit_stream_golden import _question, _stream_round
 
 
@@ -60,34 +61,41 @@ def test_positive_solution_iff_relative_interior():
         assert (sol is not None) == (interior_certificate(weights, mcc(weights)) is not None)
 
 
+def _nice_oracle(weights: PointSet, backend, generators, weight: dict) -> bool:
+    """Every root-space generator (as a matrix), applied to every basis vector
+    of the span (``weight`` maps each basis index to its weight): nice iff no
+    image has a component on the span."""
+    members = weights.as_set()
+    span = {idx for idx, w in weight.items() if w in members}
+    return not any(t in span for matrix in generators for idx in span
+                   for t in apply_matrix(matrix, RepVector(backend, {idx: 1})).terms)
+
+
 def test_nice_fast_path_matches_generator_images():
-    """Full-generator oracle vs is_nice on random monomial spans."""
-    backend = PolyBackend(3, 4)
-    roots = gl_roots(3)
-    indices = list(backend.all_indices())
-    rng = random.Random(3)
-    agreements = 0
-    while agreements < 200:
-        subset = rng.sample(indices, rng.randint(1, 5))
-        weights_list = [backend.weight(idx) for idx in subset]
-        if len(set(weights_list)) != len(weights_list):
-            continue
-        weights = PointSet(weights_list)
-        span = set(subset)
-        oracle = True
-        for idx in subset:
-            for a in range(3):
-                for b in range(3):
-                    if a == b:
-                        continue
-                    image = apply_elementary(a, b, RepVector(backend, {idx: 1}))
-                    if any(t in span for t in image.terms):
-                        oracle = False
-        nice, witness = is_nice(weights, backend, roots)
-        assert nice == oracle
-        if not nice:
-            assert (witness.alpha_j - witness.alpha_i) == witness.root
-        agreements += 1
+    """The full-generator oracle vs is_nice on random spans of basis vectors:
+    forms under GL(3), brackets under GL(6) and under Sp(6)."""
+    for backend, roots, m in ((PolyBackend(3, 4), gl_roots(3), None),
+                              (BracketBackend(6), gl_roots(6), None),
+                              (BracketBackend(6), sp_diag_roots(3), 3)):
+        weight = {idx: weight_of(backend, idx, m) for idx in backend.all_indices()}
+        generators = []
+        for gamma in roots.roots:
+            for gen in root_space(roots, gamma):
+                generators.append([[0] * backend.n for _ in range(backend.n)])
+                for a, b, x in gen:
+                    generators[-1][a][b] += x
+        rng = random.Random(3)
+        outcomes = set()
+        for _ in range(200):
+            subset = rng.sample(list(weight), rng.randint(1, 5))
+            weights = PointSet(dict.fromkeys(weight[idx] for idx in subset))
+            nice, witness = is_nice(weights, backend, roots)
+            assert nice == _nice_oracle(weights, backend, generators, weight)
+            if not nice:
+                assert witness.alpha_i in weights and witness.alpha_j in weights
+                assert witness.alpha_j - witness.alpha_i == witness.root
+            outcomes.add(nice)
+        assert outcomes == {True, False}, roots.subgroup
 
 
 def test_is_nice_sp_full_path():

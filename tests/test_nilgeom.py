@@ -1,10 +1,12 @@
 """Lie bracket validation, Ricci, minimal metrics, and the shipped table."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from orbitforge import ratgeom, reps
 from orbitforge.coeffs import Coeff, IrrationalError
 from orbitforge.lattice import sp_diag_roots
 from orbitforge.nicecrit import _torus_nice, is_distinguished, orbit_verdict
@@ -15,7 +17,7 @@ from orbitforge.nilgeom import (LieBracket, NotDistinguishedError,
                                 validate, verify_minimal)
 from orbitforge.ratgeom import Vec
 from orbitforge.reps import (RepVector, SymMatrix, moment_map, moment_map_restricted,
-                             support_projected, weight_classes, weight_masses)
+                             support_projected, weight_classes)
 
 from oracles import group_scale, ricci, sym_scale, torus_diagonal
 
@@ -135,12 +137,37 @@ def test_find_minimal_metric_solves_every_shipped_instance():
             # check's verdict, with a certificate: positive masses on the
             # weights, summing to 1, with barycentre beta.
             assert orbit_verdict(mu.vector, sp_diag_roots(3)) == res.verdict
-            cert, weights = res.verdict.certificate, list(weight_masses(mu.vector, 3))
+            cert, weights = res.verdict.certificate, list(support_projected(mu.vector, 3))
             assert len(cert) == len(weights) and all(c > 0 for c in cert)
             assert sum(cert) == 1
             assert sum((c * w for c, w in zip(cert, weights)), Vec([0] * 6)) == res.beta
             labels.append(inst["label"])
     assert len(labels) == 15
+
+
+def test_find_minimal_metric_groups_once_and_runs_one_mcc_and_one_lp(monkeypatch):
+    # One grouping of the terms and one for the niceness table, then the
+    # verdict's mcc and interior LP serve the Newton solve and the bracket.
+    import orbitforge.flow  # noqa: F401  imported lazily; bind it before patching
+    originals = {"weight_classes": reps.weight_classes, "mcc": ratgeom.mcc,
+                 "interior_certificate": ratgeom.interior_certificate}
+    counts = dict.fromkeys(originals, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key, module in list(sys.modules.items()):
+        if key == "orbitforge" or key.startswith("orbitforge."):
+            for name, fn in originals.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counting(name, fn))
+    rows = {r["name"]: r for r in load_table2_fixture()["rows"]}
+    mu = bracket_from_fixture_terms(rows["16.(a)"]["instances"][0]["terms"])
+    assert find_minimal_metric(mu).verdict.outcome == "distinguished"
+    assert counts == {"weight_classes": 2, "mcc": 1, "interior_certificate": 1}
 
 
 def test_torus_fallback_only_where_the_span_is_not_nice():

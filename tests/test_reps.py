@@ -113,7 +113,7 @@ def _vectors(draw, kind, group):
 def test_weight_masses_follow_the_support(kind, group, data):
     v = data.draw(_vectors(kind, group))
     m = v.backend.n // 2 if group == "sp" else None
-    masses = weight_masses(v, m)
+    masses = weight_masses(v.backend, weight_classes(v.backend, dict(v.sorted_terms()), m))
     sup = support(v) if m is None else support_projected(v, m)
     assert list(masses) == list(sup)
     assert all(mass > 0 for mass in masses.values())

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitforge.lattice import chamber_canonical, gl_roots
+from orbitforge.nicecrit import is_nice
 from orbitforge.ratgeom import PointSet, Vec, mcc
 from orbitforge.reps import PolyBackend
 from orbitforge.ternary import (_maximal_independent_sets, classify,
@@ -105,6 +106,22 @@ def test_maximal_nice_subsets_partition():
         frozenset({(3, 0, 1), (0, 3, 1)}),
         frozenset({(2, 1, 1), (0, 3, 1)}),
     }
+
+
+def test_every_maximal_nice_subset_passes_the_full_nice_check():
+    # The independent sets of the root-difference graph are nice by the
+    # pairwise argument; the full check confirms each one classify reads.
+    roots, checked = gl_roots(3), 0
+    for d in (4, 5, 6):
+        backend = PolyBackend(3, d)
+        labels = list(stratifying_set(d))
+        if d == 4:
+            labels.append(chamber_canonical(Vec([-3, Fraction(-1, 2), Fraction(-1, 2)])))
+        for beta in labels:
+            for subset in maximal_nice_subsets(omega_weights(beta, d)):
+                assert is_nice(subset, backend, roots) == (True, None), (d, beta, subset)
+                checked += 1
+    assert checked == 68 + 296 + 1562 + 2  # d = 4, 5, 6, and the excluded label
 
 
 def test_classify_appends_empty_stratum():
