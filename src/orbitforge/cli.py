@@ -210,6 +210,7 @@ def check(path, group, paper_signs):
     """Distinguished-orbit verdict for a form or bracket file."""
     from .lattice import gl_roots, sl_roots, sp_diag_roots
     from .nicecrit import orbit_verdict
+    from .ratgeom import Vec
 
     v = _load_vector(path)
     n = v.backend.n
@@ -221,6 +222,9 @@ def check(path, group, paper_signs):
         roots = gl_roots(n) if group == "gl" else sl_roots(n)
     verdict = orbit_verdict(v, roots)
     beta = verdict.beta
+    if beta is not None and group == "sl":
+        # Every weight has trace t, so tr beta = t; the sl label drops (t/n)(1, ..., 1).
+        beta = beta - Vec([sum(beta) / n] * n)
     if beta is not None and paper_signs:
         beta = -beta
     payload = {

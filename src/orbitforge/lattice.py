@@ -5,7 +5,8 @@ diagonals is then the standard dot product.  The symplectic form is fixed to
 the antidiagonal pairing  omega = sum_i e_i^* wedge e_{2m+1-i}^*, so the
 diagonal part of sp(2m,R) is the set of patterns (a_1,...,a_m,-a_m,...,-a_1).
 The roots and their root-space generators come from one loop over matrix
-positions; a generator is a tuple of sparse (a, b, x) entries.  A root is an
+positions, run once per ``RootSystem``, whose ``spaces`` table maps each root
+to its generator, a tuple of sparse (a, b, x) entries.  A root is an
 exact tuple: a plain tuple of integers for gl and sl, and a ``Vec`` (a tuple
 subclass) of ``Fraction`` halves for sp.  Since ``Fraction(k)`` and ``k``
 compare and hash equal, a ``Vec``, a list or an integer tuple with the same
@@ -18,29 +19,35 @@ from .ratgeom import Vec
 
 
 class RootSystem:
-    """The root set of a diagonal subalgebra, closed under negation.
+    """The roots of a diagonal subalgebra, closed under negation, and their root spaces.
 
-    ``roots`` is a frozenset of exact tuples (integers for gl and sl, a Vec
-    of Fraction halves for sp); membership takes any sequence of the same
-    entries.
+    ``spaces`` maps each root to the generator of its root space, a tuple of
+    sparse (a, b, x) entries.  GL_n, SL_n and Sp(2m,R) are split, so each root
+    space is a line: the position loop ``_root_spaces`` yields exactly one
+    generator per root.  ``roots`` is the frozenset of the roots, exact tuples
+    (integers for gl and sl, a Vec of Fraction halves for sp); membership
+    takes any sequence of the same entries, and ``spaces`` any tuple of them.
     """
 
-    __slots__ = ("n", "roots", "subgroup")
+    __slots__ = ("n", "spaces", "subgroup", "roots")
 
-    def __init__(self, n: int, roots: frozenset, subgroup: str):  # "gl" | "sl" | "sp"
+    def __init__(self, n: int, spaces: dict, subgroup: str):  # "gl" | "sl" | "sp"
+        if subgroup not in ("gl", "sl", "sp"):
+            raise ValueError("unknown subgroup %r" % subgroup)
+        roots = frozenset(spaces)
         if (0,) * n in roots:
             raise ValueError("0 is not a root")
         if any(tuple(-x for x in r) not in roots for r in roots):
             raise ValueError("root set must be closed under negation")
-        for name, value in zip(self.__slots__, (n, roots, subgroup)):
+        for name, value in zip(self.__slots__, (n, spaces, subgroup, roots)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("RootSystem is immutable")
 
     def __eq__(self, other):
-        return type(other) is RootSystem and (self.n, self.roots, self.subgroup) == (
-            other.n, other.roots, other.subgroup)
+        return type(other) is RootSystem and (self.n, self.spaces, self.subgroup) == (
+            other.n, other.spaces, other.subgroup)
 
     def __hash__(self):
         return hash((self.n, self.roots, self.subgroup))
@@ -59,8 +66,6 @@ def _root_spaces(n: int, subgroup: str):
     (a, b, x) entries, and a root is an integer tuple for gl/sl and the
     projected Vec for sp.
     """
-    if subgroup not in ("gl", "sl", "sp"):
-        raise ValueError("unknown subgroup %r" % subgroup)
     m = n // 2
     for a in range(n):
         for b in range(n):
@@ -77,26 +82,15 @@ def _root_spaces(n: int, subgroup: str):
             yield project_to_sp_diag(e, m), gen
 
 
-def root_space(rs: RootSystem, gamma) -> tuple:
-    """The generators of the root space g_gamma, each a tuple of (a, b, x) entries.
-
-    gamma may be any sequence (a Vec, a list or a tuple).  Raises ValueError
-    for an unknown subgroup.
-    """
-    gamma = tuple(gamma)
-    return tuple(gen for root, gen in _root_spaces(rs.n, rs.subgroup) if root == gamma)
-
-
 def gl_roots(n: int) -> RootSystem:
     """Roots gamma_ab = e_a - e_b of gl_n (equal to those of sl_n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return RootSystem(n, frozenset(r for r, _ in _root_spaces(n, "gl")), "gl")
+    return RootSystem(n, dict(_root_spaces(n, "gl")), "gl")
 
 
 def sl_roots(n: int) -> RootSystem:
-    rs = gl_roots(n)
-    return RootSystem(rs.n, rs.roots, "sl")
+    return RootSystem(n, gl_roots(n).spaces, "sl")
 
 
 def sp_diag_roots(m: int) -> RootSystem:
@@ -107,7 +101,7 @@ def sp_diag_roots(m: int) -> RootSystem:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    return RootSystem(2 * m, frozenset(r for r, _ in _root_spaces(2 * m, "sp")), "sp")
+    return RootSystem(2 * m, dict(_root_spaces(2 * m, "sp")), "sp")
 
 
 def sp_sign(i: int, m: int) -> int:

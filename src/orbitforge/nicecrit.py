@@ -4,8 +4,8 @@ A subspace spanned by weight vectors is "nice" when the moment map sends all
 of it into the diagonal subalgebra; on a nice space, whether the orbit of an
 element is distinguished reduces to exact convex geometry: the minimum-norm
 point beta of the convex hull of its weights must lie in the relative
-interior of that hull.  The niceness test applies each root's generators
-(``lattice.root_space``) sparsely, through the backend's action primitive.
+interior of that hull.  The niceness test applies each root's generator
+(``RootSystem.spaces``) sparsely, through the backend's action primitive.
 ``orbit_verdict`` decides one vector's orbit: where the span is not nice,
 the torus test, the vector form of the niceness test, may still prove it.
 """
@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import _exact, ratgeom
-from .lattice import RootSystem, root_space
+from .lattice import RootSystem
 from .ratgeom import PointSet, Vec, interior_certificate, mcc
 from .reps import RepVector, apply_terms, weight_classes
 
@@ -42,19 +42,19 @@ def _projection(roots: RootSystem) -> Optional[int]:
 
 
 def _root_pairs(weights, roots: RootSystem):
-    """(alpha_i, alpha_j, gamma) for each ordered pair with gamma = alpha_j - alpha_i a root."""
+    """(alpha_i, alpha_j, gamma, X) with gamma = alpha_j - alpha_i a root, X spanning g_gamma."""
     for wi in weights:
         for wj in weights:
-            if wi != wj and (gamma := wj - wi) in roots:
-                yield wi, wj, gamma
+            if wi != wj and (gen := roots.spaces.get(gamma := wj - wi)) is not None:
+                yield wi, wj, gamma, gen
 
 
 def is_nice(weights: PointSet, backend, roots: RootSystem):
     """Decide whether the span of all basis vectors with these weights is nice.
 
     Returns (True, None) or (False, NiceWitness).  The span is nice unless,
-    for a pair (alpha_i, alpha_j) with gamma = alpha_j - alpha_i a root, a
-    generator of g_gamma (``lattice.root_space``) sends the alpha_i weight
+    for a pair (alpha_i, alpha_j) with gamma = alpha_j - alpha_i a root, the
+    generator of g_gamma (``RootSystem.spaces``) sends the alpha_i weight
     space to a vector with a component on the span.  It maps that weight
     space into the alpha_j one, all in the span, so any nonzero image does.
     """
@@ -64,11 +64,10 @@ def is_nice(weights: PointSet, backend, roots: RootSystem):
     for w in weights:
         if w not in table:
             raise ValueError("weight %r is not a weight of this representation" % (w,))
-    for wi, wj, gamma in _root_pairs(weights, roots):
-        for gen in root_space(roots, gamma):
-            for idx in table[wi]:
-                if apply_terms(backend, gen, {idx: 1}):
-                    return False, NiceWitness(wi, wj, gamma)
+    for wi, wj, gamma, gen in _root_pairs(weights, roots):
+        for idx in table[wi]:
+            if apply_terms(backend, gen, {idx: 1}):
+                return False, NiceWitness(wi, wj, gamma)
     return True, None
 
 
@@ -101,18 +100,17 @@ def _torus_nice(parts: dict, backend, roots: RootSystem) -> bool:
     and square roots of distinct squarefree integers, are independent.  So
     <pi(X) v_P, v_Q> must vanish radicand by radicand for each root Q - P.
     """
-    for p, q, gamma in _root_pairs(parts, roots):
-        for gen in root_space(roots, gamma):
-            sums: dict = {}
-            for idx, c in parts[p].items():
-                # One term at a time: images of distinct radicands may meet.
-                for new, y in apply_terms(backend, gen, {idx: c}).items():
-                    d = parts[q].get(new)
-                    if d is not None:
-                        z = y * d * backend.basis_norm_sq(new)
-                        sums[z.s] = sums.get(z.s, 0) + z.r
-            if any(sums.values()):
-                return False
+    for p, q, _, gen in _root_pairs(parts, roots):
+        sums: dict = {}
+        for idx, c in parts[p].items():
+            # One term at a time: images of distinct radicands may meet.
+            for new, y in apply_terms(backend, gen, {idx: c}).items():
+                d = parts[q].get(new)
+                if d is not None:
+                    z = y * d * backend.basis_norm_sq(new)
+                    sums[z.s] = sums.get(z.s, 0) + z.r
+        if any(sums.values()):
+            return False
     return True
 
 
@@ -120,8 +118,10 @@ def orbit_verdict(v: RepVector, roots: RootSystem) -> Verdict:
     """``is_distinguished`` on the (sp-projected) support of a nonzero vector v,
     but "distinguished" where the span is not nice, the torus test passes
     (mm(T.v) is diagonal) and beta is interior.  Without a nice span an
-    exterior beta proves nothing, so "not_nice" stands.  Raises ValueError
-    for the zero vector or when v and the roots differ in dimension.
+    exterior beta proves nothing, so "not_nice" stands.  beta comes back in
+    the coordinates of the weights it was given (sp-projected for sp, and
+    with the weights' common trace for sl).  Raises ValueError for the zero
+    vector or when v and the roots differ in dimension.
     """
     return _orbit_verdict(weight_classes(v.backend, dict(v.sorted_terms()), _projection(roots)),
                           v.backend, roots)

@@ -13,7 +13,7 @@ Two concrete GL_n(R)-representations are supported:
 Each backend has one action primitive, ``act(a, b, idx)``: pi(E_ab) on one
 basis index, as at most three (index, integer factor) pairs.  The sparse
 ``apply_terms``, which takes a matrix as its nonzero (a, b, x) entries (the
-form of ``lattice.root_space``'s generators), and the closed-form moment map
+form of the root-space generators in ``RootSystem.spaces``), and the closed-form moment map
 mm_ab = <pi(E_ab)v, v> / |v|^2 use nothing else of the action.
 
 ``weight_classes(backend, terms, m)`` groups basis indices by their weight,

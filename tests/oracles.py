@@ -29,7 +29,7 @@ from math import exp
 
 from orbitforge import _exact
 from orbitforge.coeffs import Coeff
-from orbitforge.lattice import root_space, sp_sign
+from orbitforge.lattice import sp_sign
 from orbitforge.ratgeom import PointSet, Vec, interior_certificate, mcc
 from orbitforge.reps import RepVector, SymMatrix, apply_terms, moment_parts, weight_of
 
@@ -247,14 +247,13 @@ def torus_diagonal(v: RepVector, roots) -> bool:
     """
     m = roots.n // 2 if roots.subgroup == "sp" else None
     groups: dict = {}
-    for gamma in roots.roots:
-        for gen in root_space(roots, gamma):
-            for idx, c in v.terms.items():
-                w = weight_of(v.backend, idx, m)
-                for new, y in apply_terms(v.backend, gen, {idx: c}).items():
-                    d = v.terms.get(new)
-                    if d is not None:
-                        z = y * d * v.backend.basis_norm_sq(new)
-                        key = (gamma, w, z.s)
-                        groups[key] = groups.get(key, 0) + z.r
+    for gamma, gen in roots.spaces.items():
+        for idx, c in v.terms.items():
+            w = weight_of(v.backend, idx, m)
+            for new, y in apply_terms(v.backend, gen, {idx: c}).items():
+                d = v.terms.get(new)
+                if d is not None:
+                    z = y * d * v.backend.basis_norm_sq(new)
+                    key = (gamma, w, z.s)
+                    groups[key] = groups.get(key, 0) + z.r
     return not any(groups.values())

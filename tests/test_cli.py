@@ -106,9 +106,9 @@ def test_check_form_distinguished(runner, tmp_path):
     assert json.loads(res.output)["beta"] == ["11/7", "9/7", "8/7"]
 
 
-def test_check_sl_prints_the_gl_label(runner, tmp_path):
-    # Every weight of x^4 + y^4 + z^4 has trace -4, so the trace-free label
-    # is beta + (4/3)(1, 1, 1) = 0; check prints the gl label beta itself.
+def test_check_sl_prints_the_trace_free_label(runner, tmp_path):
+    # Every weight of x^4 + y^4 + z^4 has trace -4, so the gl label
+    # (-4/3, -4/3, -4/3) has trace-free part 0: a closed SL orbit.
     path = tmp_path / "quartic.json"
     path.write_text(json.dumps([{"exponents": e, "coeff": "1"}
                                 for e in ([4, 0, 0], [0, 4, 0], [0, 0, 4])]))
@@ -116,7 +116,7 @@ def test_check_sl_prints_the_gl_label(runner, tmp_path):
     assert res.exit_code == 0
     assert json.loads(res.output) == {
         "command": "check", "group": "sl", "outcome": "distinguished",
-        "beta": ["-4/3", "-4/3", "-4/3"], "certificate": ["1/3", "1/3", "1/3"],
+        "beta": ["0/1", "0/1", "0/1"], "certificate": ["1/3", "1/3", "1/3"],
         "witness": None}
 
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from orbitforge import lattice
 from orbitforge.lattice import (RootSystem, chamber_canonical, gl_roots,
-                                project_to_sp_diag, root_space, sl_roots,
-                                sp_diag_roots)
+                                project_to_sp_diag, sl_roots, sp_diag_roots)
 from orbitforge.ratgeom import Vec
 
 
@@ -17,7 +17,7 @@ def test_gl_roots_count_and_membership():
     assert Vec([1, 0, -1]) in rs
     assert Vec([1, 1, -2]) not in rs
     assert Vec([0, 0, 0]) not in rs
-    assert sl_roots(3).roots == rs.roots
+    assert sl_roots(3).roots == rs.roots and sl_roots(3).spaces == rs.spaces
 
 
 def test_sp_roots_count():
@@ -56,9 +56,9 @@ def test_chamber_canonical_sorts_ascending():
 
 def test_root_system_validation():
     with pytest.raises(ValueError):
-        RootSystem(2, frozenset({Vec([1, -1])}), "gl")  # not negation-closed
+        RootSystem(2, {Vec([1, -1]): ((0, 1, 1),)}, "gl")  # not negation-closed
     with pytest.raises(ValueError):
-        RootSystem(2, frozenset({Vec([0, 0])}), "gl")
+        RootSystem(2, {Vec([0, 0]): ((0, 0, 1),)}, "gl")
 
 
 def _eps_roots(m):
@@ -89,14 +89,27 @@ def test_gl_root_spaces_are_the_elementary_matrices(rs):
         for b in range(n):
             if a != b:
                 gamma = Vec([int(t == a) - int(t == b) for t in range(n)])
-                assert root_space(rs, gamma) == (((a, b, 1),),)
-    assert root_space(rs, Vec([1] + [0] * (n - 1))) == ()
+                assert rs.spaces[gamma] == ((a, b, 1),)
+    assert rs.spaces.get(Vec([1] + [0] * (n - 1))) is None
 
 
 def test_root_space_rejects_an_unknown_subgroup():
-    rs = RootSystem(2, gl_roots(2).roots, "so")
+    # At construction, before any root space is read.
     with pytest.raises(ValueError, match="unknown subgroup"):
-        root_space(rs, Vec([1, -1]))
+        RootSystem(2, gl_roots(2).spaces, "so")
+
+
+TABLES = ([(gl_roots(n), n * (n - 1)) for n in range(1, 7)]
+          + [(sp_diag_roots(m), 2 * m * m) for m in range(1, 5)])
+
+
+@pytest.mark.parametrize("rs, count", TABLES, ids=[rs.subgroup + str(rs.n) for rs, _ in TABLES])
+def test_table_holds_one_generator_per_root(rs, count):
+    # The loop yields each root once, so the table drops no generator.
+    walked = list(lattice._root_spaces(rs.n, rs.subgroup))
+    assert len(rs.spaces) == len(walked) == count
+    assert all(rs.spaces[root] == gen for root, gen in walked)
+    assert rs.roots == frozenset(rs.spaces)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
@@ -130,12 +143,12 @@ def test_sp_roots_are_found_from_differences_of_projected_weights():
 ])
 def test_root_system_rejects_bad_sets_of_tuples(bad, message):
     with pytest.raises(ValueError, match=message):
-        RootSystem(2, frozenset(bad), "gl")
+        RootSystem(2, dict.fromkeys(bad, ((0, 1, 1),)), "gl")
 
 
 @pytest.mark.parametrize("rs", [gl_roots(4), sp_diag_roots(2)], ids=["gl4", "sp4"])
 def test_root_system_equality_ignores_vec_or_tuple(rs):
-    as_vecs = RootSystem(rs.n, frozenset(Vec(r) for r in rs.roots), rs.subgroup)
+    as_vecs = RootSystem(rs.n, {Vec(r): gen for r, gen in rs.spaces.items()}, rs.subgroup)
     assert as_vecs == rs and hash(as_vecs) == hash(rs)
     assert all(r in as_vecs for r in rs.roots)
 
@@ -144,8 +157,9 @@ def test_root_space_answers_for_any_sequence():
     rs = sp_diag_roots(3)
     h = Fraction(1, 2)
     gamma = Vec([h, -h, 0, 0, h, -h])                    # eps_1 - eps_2
-    gens = root_space(rs, gamma)
-    assert gens == (((0, 1, 1), (4, 5, -1)),)
-    assert root_space(rs, list(gamma)) == gens == root_space(rs, tuple(gamma))
-    assert root_space(rs, Vec([1, 0, 0, 0, 0, -1])) == (((0, 5, 2),),)   # 2 eps_1
-    assert root_space(gl_roots(3), [0, 1, -1]) == (((1, 2, 1),),)
+    assert rs.spaces[gamma] == ((0, 1, 1), (4, 5, -1)) == rs.spaces.get(tuple(gamma))
+    assert list(gamma) in rs and tuple(gamma) in rs
+    assert rs.spaces[Vec([1, 0, 0, 0, 0, -1])] == ((0, 5, 2),)   # 2 eps_1
+    gl3 = gl_roots(3)
+    assert gl3.spaces.get((0, 1, -1)) == ((1, 2, 1),) == gl3.spaces[Vec([0, 1, -1])]
+    assert [0, 1, -1] in gl3

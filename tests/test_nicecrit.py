@@ -4,8 +4,8 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from orbitforge import _exact
-from orbitforge.lattice import gl_roots, project_to_sp_diag, root_space, sp_diag_roots
+from orbitforge import _exact, lattice
+from orbitforge.lattice import gl_roots, project_to_sp_diag, sp_diag_roots
 from orbitforge.nicecrit import (_torus_nice, critical_coefficients, is_distinguished,
                                  is_nice, orbit_verdict)
 from orbitforge.nilgeom import bracket_from_fixture_terms, load_table2_fixture
@@ -78,12 +78,7 @@ def test_nice_fast_path_matches_generator_images():
                               (BracketBackend(6), gl_roots(6), None),
                               (BracketBackend(6), sp_diag_roots(3), 3)):
         weight = {idx: weight_of(backend, idx, m) for idx in backend.all_indices()}
-        generators = []
-        for gamma in roots.roots:
-            for gen in root_space(roots, gamma):
-                generators.append([[0] * backend.n for _ in range(backend.n)])
-                for a, b, x in gen:
-                    generators[-1][a][b] += x
+        generators = [_dense(gen, backend.n) for gen in roots.spaces.values()]
         rng = random.Random(3)
         outcomes = set()
         for _ in range(200):
@@ -111,6 +106,18 @@ def test_is_nice_sp_full_path():
     bad = RepVector.bracket(6, [((0, 1, 5), 1), ((2, 3, 4), 1)])
     nice, witness = is_nice(support_projected(bad, 3), backend6, roots)
     assert not nice and witness is not None
+
+
+def test_verdicts_read_the_prebuilt_root_table(monkeypatch):
+    # The position loop runs when a root system is built, never per lookup.
+    roots = sp_diag_roots(3)
+    real, walks = lattice._root_spaces, []
+    monkeypatch.setattr(lattice, "_root_spaces",
+                        lambda n, subgroup: walks.append(subgroup) or real(n, subgroup))
+    bad = RepVector.bracket(6, [((0, 1, 5), 1), ((2, 3, 4), 1)])
+    assert is_distinguished(support_projected(bad, 3), bad.backend, roots).outcome == "not_nice"
+    orbit_verdict(bad, roots)
+    assert walks == []
 
 
 def test_stratum_label():
@@ -183,23 +190,21 @@ def test_sp_root_space_closed_form_spans_the_symplectic_solutions():
         for i in range(m):
             jmat[i][n - 1 - i], jmat[n - 1 - i][i] = 1, -1
         roots = sp_diag_roots(m)
-        for gamma in roots.roots:
+        for gamma, gen in roots.spaces.items():
             positions = [(a, b) for a, b in permutations(range(n), 2)
                          if project_to_sp_diag([int(t == a) - int(t == b)
                                                 for t in range(n)], m) == gamma]
             system = [[int(r == q) * jmat[p][c] + jmat[r][p] * int(c == q)
                        for (p, q) in positions] for r in range(n) for c in range(n)]
-            nullity = len(positions) - _exact.rank(system)
-            gens = [_dense(g, n) for g in root_space(roots, gamma)]
-            assert len(gens) == nullity > 0
-            assert _exact.rank([[x for row in g for x in row] for g in gens]) == nullity
-            for g in gens:
-                support = {(a, b) for a in range(n) for b in range(n) if g[a][b]}
-                assert support <= set(positions)
-                for r in range(n):
-                    for c in range(n):
-                        assert sum(g[k][r] * jmat[k][c] + jmat[r][k] * g[k][c]
-                                   for k in range(n)) == 0
+            # Split: the solutions form a line, which the one stored generator spans.
+            assert len(positions) - _exact.rank(system) == 1
+            g = _dense(gen, n)
+            support = {(a, b) for a in range(n) for b in range(n) if g[a][b]}
+            assert support and support <= set(positions)
+            for r in range(n):
+                for c in range(n):
+                    assert sum(g[k][r] * jmat[k][c] + jmat[r][k] * g[k][c]
+                               for k in range(n)) == 0
 
 
 def _torus_cases():
