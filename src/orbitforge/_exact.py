@@ -3,12 +3,15 @@
 Everything here works on plain lists of ``fractions.Fraction``; matrices are
 lists of rows.  Problem sizes in this package are tiny (dimensions <= 8, at
 most a few dozen constraints), so clarity wins over asymptotics.
+
+One Gauss-Jordan step, ``_pivot``, does every elimination: ``rref`` and both
+simplex phases, whose objective rows one helper, ``_reduced_costs``, prices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 Row = list[Fraction]
 Matrix = list[Row]
@@ -16,6 +19,16 @@ Matrix = list[Row]
 
 def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def _pivot(m: Matrix, row: int, col: int) -> None:
+    """Scale ``row`` so that m[row][col] = 1, then clear ``col`` from every other row."""
+    piv = m[row][col]
+    m[row] = [x / piv for x in m[row]]
+    for i, t in enumerate(m):
+        if i != row and t[col] != 0:
+            f = t[col]
+            m[i] = [a - f * b for a, b in zip(t, m[row])]
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
@@ -31,12 +44,7 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        _pivot(m, r, c)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -46,24 +54,6 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
 def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Row]:
-    """One exact solution of A x = b, or None if inconsistent."""
-    if not rows:
-        return []
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0])
-    for row in red:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        if c == ncols:
-            return None
-        x[c] = red[r][ncols]
-    return x
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[Row]:
@@ -83,25 +73,25 @@ def nullspace(rows: Sequence[Sequence]) -> list[Row]:
     return basis
 
 
-class LPResult:
+class LPResult(NamedTuple):
     """Outcome of an exact LP solve."""
 
-    __slots__ = ("status", "x", "value")
-
-    def __init__(self, status: str, x: Optional[Row] = None, value: Optional[Fraction] = None):
-        self.status = status  # "optimal" | "infeasible" | "unbounded"
-        self.x = x
-        self.value = value
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    x: Optional[Row] = None
+    value: Optional[Fraction] = None
 
 
-def _pivot(tableau: Matrix, basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for i, t in enumerate(tableau):
-        if i != row and t[col] != 0:
-            f = t[col]
-            tableau[i] = [a - f * b for a, b in zip(t, tableau[row])]
-    basis[row] = col
+def _reduced_costs(cost: Row, tableau: Matrix, basis: list[int]) -> Row:
+    """Objective row of min cost.x priced out on the canonical rows ``tableau``.
+
+    It is zero on every basic column and ends with minus the basic solution's value.
+    """
+    obj = cost + [Fraction(0)]
+    for row, b in zip(tableau, basis):
+        f = obj[b]
+        if f != 0:
+            obj = [o - f * t for o, t in zip(obj, row)]
+    return obj
 
 
 def _simplex_phase(tableau: Matrix, basis: list[int], ncols: int) -> str:
@@ -121,7 +111,8 @@ def _simplex_phase(tableau: Matrix, basis: list[int], ncols: int) -> str:
                     best_row, best_ratio = i, ratio
         if best_row is None:
             return "unbounded"
-        _pivot(tableau, basis, best_row, col)
+        _pivot(tableau, best_row, col)
+        basis[best_row] = col
 
 
 def simplex_max(objective: Sequence, a_eq: Sequence[Sequence], b_eq: Sequence) -> LPResult:
@@ -144,12 +135,7 @@ def simplex_max(objective: Sequence, a_eq: Sequence[Sequence], b_eq: Sequence) -
     tableau = [a[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [b[i]]
                for i in range(m)]
     basis = [n + i for i in range(m)]
-    obj = [Fraction(0)] * (n + m) + [Fraction(0)]
-    for j in range(n, n + m):
-        obj[j] = Fraction(1)
-    for i in range(m):  # price out the artificial basis
-        obj = [o - t for o, t in zip(obj, tableau[i])]
-    tableau.append(obj)
+    tableau.append(_reduced_costs([Fraction(0)] * n + [Fraction(1)] * m, tableau, basis))
     if _simplex_phase(tableau, basis, n + m) != "optimal" or -tableau[-1][-1] != 0:
         return LPResult("infeasible")
     # Drive any artificial variables out of the basis.
@@ -157,18 +143,14 @@ def simplex_max(objective: Sequence, a_eq: Sequence[Sequence], b_eq: Sequence) -
         if basis[i] >= n:
             col = next((j for j in range(n) if tableau[i][j] != 0), None)
             if col is not None:
-                _pivot(tableau, basis, i, col)
+                _pivot(tableau, i, col)
+                basis[i] = col
     keep = [i for i in range(m) if basis[i] < n]
     tableau = [[tableau[i][j] for j in range(n)] + [tableau[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
 
     # Phase 2: minimize -c.x.
-    obj2 = [-v for v in c] + [Fraction(0)]
-    for i, bi in enumerate(basis):
-        if obj2[bi] != 0:
-            f = obj2[bi]
-            obj2 = [o - f * t for o, t in zip(obj2, tableau[i])]
-    tableau.append(obj2)
+    tableau.append(_reduced_costs([-v for v in c], tableau, basis))
     status = _simplex_phase(tableau, basis, n)
     if status != "optimal":
         return LPResult("unbounded")

@@ -145,11 +145,6 @@ class Coeff:
     def is_zero(self) -> bool:
         return self.r == 0
 
-    def rational(self) -> Fraction:
-        if self.s != 1:
-            raise IrrationalError("irrational value %r" % self)
-        return self.r
-
     def square(self) -> Fraction:
         return self.r * self.r * self.s
 

@@ -43,19 +43,6 @@ class LieBracket:
     def from_terms(cls, n: int, items) -> "LieBracket":
         return cls(RepVector.bracket(n, items))
 
-    def of_basis(self, i: int, j: int) -> dict:
-        """mu(e_i, e_j) as a map k -> Coeff."""
-        sign = 1
-        if i == j:
-            return {}
-        if i > j:
-            i, j, sign = j, i, -1
-        out = {}
-        for (a, b, k), c in self.vector.terms.items():
-            if (a, b) == (i, j):
-                out[k] = sign * c
-        return out
-
 
 class ValidationError(Exception):
     """A failed Lie-axiom check: ``kind`` is "jacobi", "not_nilpotent" or
@@ -127,7 +114,7 @@ def validate(mu: LieBracket, two_step: bool = False) -> None:
     Raises ValidationError with the witnessing basis triple.  All checks are
     exact rational arithmetic: mu is scaled to rational constants, or, when
     its radicands differ, realified over Q on the basis e_i sqrt(d) of
-    K^n (restriction of scalars preserves Jacobi and nilpotency).
+    K^n (restriction of scalars preserves Jacobi, nilpotency and two-step).
     """
     n = mu.n
     nu, field = _rational_form(mu)
@@ -142,7 +129,7 @@ def validate(mu: LieBracket, two_step: bool = False) -> None:
                 v, x = field.times_basis(y, field.basis[t], w)
                 consts.setdefault((i * deg + u, j * deg + w), {})[k * deg + v] = x
                 consts.setdefault((j * deg + w, i * deg + u), {})[k * deg + v] = -x
-    # Jacobi is K-trilinear, so the K-basis triples e_i (u = 0) suffice.
+    # Jacobi and [[x, y], z] are K-trilinear: the K-basis triples e_i (u = 0) suffice.
     e = [{i * deg: Fraction(1)} for i in range(n)]
     for i, j, k in combinations(range(n), 3):
         jac: dict = {}
@@ -152,9 +139,10 @@ def validate(mu: LieBracket, two_step: bool = False) -> None:
         if any(x != 0 for x in jac.values()):
             raise ValidationError("jacobi", (i, j, k))
     if two_step:
-        for (a, b, k) in mu.vector.terms:
+        for a, b in combinations(range(n), 2):
+            ab = _bracket(consts, e[a], e[b])
             for c in range(n):
-                if mu.of_basis(k, c):
+                if _bracket(consts, ab, e[c]):
                     raise ValidationError("not_two_step", (a, b, c))
     # Lower central series: span of bracket values, then brackets with it.
     current = _span([x for (p, q), x in consts.items() if p < q], dim)

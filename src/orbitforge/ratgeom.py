@@ -96,32 +96,28 @@ class PointSet:
         return frozenset(self.points)
 
 
-def _affinely_independent(points: Sequence[Vec]) -> bool:
-    if len(points) <= 1:
-        return True
-    diffs = [list(p - points[0]) for p in points[1:]]
-    return _exact.rank(diffs) == len(diffs)
-
-
 def _min_norm_in_affine_hull(points: Sequence[Vec]) -> Optional[tuple[Vec, list[Fraction]]]:
-    """Minimum-norm point of aff(points) for affinely independent points.
+    """Minimum-norm point of aff(points), or None for affinely dependent points.
 
     Returns (point, barycentric coefficients); coefficients may be negative.
+    One elimination decides both: the k x k system below is nonsingular
+    exactly when the points are affinely independent.  A kernel vector mu has
+    sum 0, so sum mu_i q_i lies in the span of the differences q_j - q_0 and
+    is orthogonal to it, hence is 0, which forces mu = 0 on independent points.
     """
     k = len(points)
     # Unknowns: barycentric coefficients.  Conditions: sum = 1 and the point
     # is orthogonal to every direction of the affine hull.
-    rows: list[list[Fraction]] = [[Fraction(1)] * k]
-    rhs: list[Fraction] = [Fraction(1)]
     p0 = points[0]
+    rows = [[Fraction(1)] * k + [Fraction(1)]]
     for p in points[1:]:
         d = p - p0
-        rows.append([q.dot(d) for q in points])
-        rhs.append(Fraction(0))
-    lam = _exact.solve(rows, rhs)
-    if lam is None:
+        rows.append([q.dot(d) for q in points] + [Fraction(0)])
+    red, pivots = _exact.rref(rows)
+    if pivots != list(range(k)):
         return None
-    x = zero_vec(points[0].dim)
+    lam = [row[k] for row in red]
+    x = zero_vec(p0.dim)
     for c, p in zip(lam, points):
         x = x + c * p
     return x, lam
@@ -141,8 +137,6 @@ def mcc(s: PointSet) -> Vec:
     the global variational inequality <x, p - x> >= 0 for every p in s.
     """
     for subset in _candidate_subsets(s):
-        if not _affinely_independent(subset):
-            continue
         sol = _min_norm_in_affine_hull(subset)
         if sol is None:
             continue

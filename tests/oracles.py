@@ -19,7 +19,11 @@ a quantity the package computes another way:
 * ``family_member``: one mass vector of a critical coefficient family;
 * ``torus_diagonal``: the torus test as a scan over every root, root-space
   generator and term, against the pairwise test behind
-  ``nicecrit.orbit_verdict``.
+  ``nicecrit.orbit_verdict``;
+* ``solve``: one exact solution of a linear system, by one ``rref`` of the
+  augmented matrix, for normal equations the package solves another way;
+* ``of_basis`` and ``rational``: a bracket's value on two basis vectors, and
+  the rational value of a ``Coeff``, for the reference computations.
 """
 
 from __future__ import annotations
@@ -28,10 +32,41 @@ from fractions import Fraction
 from math import exp
 
 from orbitforge import _exact
-from orbitforge.coeffs import Coeff
+from orbitforge.coeffs import Coeff, IrrationalError
 from orbitforge.lattice import sp_sign
 from orbitforge.ratgeom import PointSet, Vec, interior_certificate, mcc
 from orbitforge.reps import RepVector, SymMatrix, apply_terms, moment_parts, weight_of
+
+
+def solve(rows, rhs):
+    """One exact solution of A x = b, or None if inconsistent."""
+    if not rows:
+        return []
+    red, pivots = _exact.rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    ncols = len(rows[0])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][ncols]
+    return x
+
+
+def of_basis(mu, i: int, j: int) -> dict:
+    """mu(e_i, e_j) as a map k -> Coeff."""
+    sign = 1
+    if i == j:
+        return {}
+    if i > j:
+        i, j, sign = j, i, -1
+    return {k: sign * c for (a, b, k), c in mu.vector.terms.items() if (a, b) == (i, j)}
+
+
+def rational(c: Coeff) -> Fraction:
+    """The value of ``c`` as a rational; IrrationalError if it has a square root."""
+    if c.s != 1:
+        raise IrrationalError("irrational value %r" % c)
+    return c.r
 
 
 def ricci(mu) -> SymMatrix:
@@ -50,7 +85,7 @@ def ricci(mu) -> SymMatrix:
     values = {}
     for i in range(n):
         for j in range(n):
-            values[(i, j)] = mu.of_basis(i, j)
+            values[(i, j)] = of_basis(mu, i, j)
     for a in range(n):
         for b in range(a, n):
             total = Coeff(0)
@@ -66,7 +101,7 @@ def ricci(mu) -> SymMatrix:
                     ca, cb = v.get(a), v.get(b)
                     if ca is not None and cb is not None:
                         total = total + Fraction(1, 4) * ca * cb
-            entries[a][b] = entries[b][a] = total.rational()
+            entries[a][b] = entries[b][a] = rational(total)
     return SymMatrix(entries)
 
 

@@ -44,7 +44,7 @@ def test_normalization():
     assert Coeff(1, 8) == Coeff(2, 2)                   # sqrt(8) = 2 sqrt(2)
     assert Coeff(1, Fraction(1, 2)) == Coeff(Fraction(1, 2), 2)
     assert Coeff(0, 7) == Coeff(0)
-    assert Coeff(3).s == 1 and Coeff(3).rational() == 3
+    assert Coeff(3).s == 1 and Coeff(3).r == 3
     with pytest.raises(ValueError):
         Coeff(1, -2)
 
@@ -86,15 +86,8 @@ def test_multiplication_folds_radicands():
     assert Fraction(1, 2) * Coeff(4, 5) == Coeff(2, 5)
 
 
-def test_irrational_guard():
-    with pytest.raises(ValueError):
-        Coeff(1, 2).rational()
-
-
 def test_irrational_results_raise_the_typed_error():
     assert issubclass(IrrationalError, ValueError)
-    with pytest.raises(IrrationalError):
-        Coeff(1, 2).rational()
     with pytest.raises(IrrationalError):
         Coeff(1, 2) + Coeff(1, 3)
 

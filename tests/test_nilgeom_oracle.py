@@ -16,6 +16,8 @@ from orbitforge.nilgeom import (LieBracket, ValidationError,
                                 load_table2_fixture, sym_derivation_dim,
                                 validate)
 
+from oracles import of_basis
+
 sympy = pytest.importorskip("sympy")
 
 
@@ -26,7 +28,7 @@ def _to_sympy(c: Coeff):
 def _adjoint(mu: LieBracket, i: int):
     m = sympy.zeros(mu.n, mu.n)
     for j in range(mu.n):
-        for k, c in mu.of_basis(i, j).items():
+        for k, c in of_basis(mu, i, j).items():
             m[k, j] = _to_sympy(c)
     return m
 
@@ -46,15 +48,20 @@ def reference_validate(mu: LieBracket, two_step: bool = False) -> None:
             for k in range(j + 1, n):
                 jac = sympy.zeros(n, 1)
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for t, coeff in mu.of_basis(a, b).items():
+                    for t, coeff in of_basis(mu, a, b).items():
                         jac += ads[c][:, t] * (-_to_sympy(coeff))
                 if any(sympy.simplify(x) != 0 for x in jac):
                     raise ValidationError("jacobi", (i, j, k))
     if two_step:
-        for (a, b, k) in mu.vector.terms:
-            for c in range(n):
-                if mu.of_basis(k, c):
-                    raise ValidationError("not_two_step", (a, b, c))
+        for a in range(n):
+            for b in range(a + 1, n):
+                ab = sympy.zeros(n, 1)
+                for t, coeff in of_basis(mu, a, b).items():
+                    ab[t] += _to_sympy(coeff)
+                for c in range(n):
+                    # [[e_a, e_b], e_c] = -ad(e_c) [e_a, e_b].
+                    if any(sympy.simplify(x) != 0 for x in ads[c] * ab):
+                        raise ValidationError("not_two_step", (a, b, c))
     current = sympy.Matrix.hstack(*ads) if mu.vector.terms else sympy.zeros(n, 0)
     current = _column_space(current)
     while current.shape[1]:
@@ -71,16 +78,16 @@ def reference_sym_derivation_dim(mu: LieBracket) -> int:
     rows = []
     for p in range(n):
         for q in range(p + 1, n):
-            base = mu.of_basis(p, q)
+            base = of_basis(mu, p, q)
             for k in range(n):
                 row = [sympy.Integer(0)] * (n * n)
                 for t, c in base.items():
                     row[col[(k, t)]] += _to_sympy(c)
                 for a in range(n):
-                    for t, c in mu.of_basis(a, q).items():
+                    for t, c in of_basis(mu, a, q).items():
                         if t == k:
                             row[col[(a, p)]] -= _to_sympy(c)
-                    for t, c in mu.of_basis(p, a).items():
+                    for t, c in of_basis(mu, p, a).items():
                         if t == k:
                             row[col[(a, q)]] -= _to_sympy(c)
                 if any(x != 0 for x in row):
@@ -144,6 +151,16 @@ def test_invalid_brackets_match_reference(name):
     mu, two_step, expected = INVALID[name]
     assert _outcome(validate, mu, two_step=two_step) == expected
     assert _outcome(reference_validate, mu, two_step=two_step) == expected
+
+
+def test_two_step_bracket_with_a_sum_value_matches_reference():
+    # [e1,e2] = e3 + e4, [e3,e5] = e6, [e4,e5] = -e6: [[x, y], z] = 0 for
+    # every x, y, z, though e3 and e4, the basis targets of [e1, e2], each
+    # bracket with e5 to a nonzero value.
+    mu = LieBracket.from_terms(6, [((0, 1, 2), 1), ((0, 1, 3), 1),
+                                   ((2, 4, 5), 1), ((3, 4, 5), -1)])
+    assert _outcome(validate, mu, two_step=True) is None
+    assert _outcome(reference_validate, mu, two_step=True) is None
 
 
 # Mixed radicands: after dividing by the first radical, sqrt 2, 3, 5 leave

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitforge import _exact
 from orbitforge.ratgeom import (PointSet, Vec, barycentric, interior_certificate,
                                 mcc, segment_min_norm, zero_vec)
+
+from oracles import solve
 
 
 def _oracle_mcc(s: PointSet) -> Vec:
@@ -31,7 +32,7 @@ def _oracle_mcc(s: PointSet) -> Vec:
                 d = p - subset[0]
                 rows.append([q.dot(d) for q in subset])
                 rhs.append(Fraction(0))
-            lam = _exact.solve(rows, rhs)
+            lam = solve(rows, rhs)
             if lam is None or any(c < 0 for c in lam):
                 continue
             x = zero_vec(s.dim)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitforge import _exact
 from orbitforge.coeffs import Coeff
 from orbitforge.lattice import gl_roots
 from orbitforge.nilgeom import LieBracket
@@ -17,7 +16,7 @@ from orbitforge.reps import (BracketBackend, PolyBackend, RepVector, SymMatrix,
                              project_sym_sp, support, support_projected,
                              weight_classes, weight_masses, weight_of)
 
-from oracles import (apply_elementary, apply_matrix, group_scale, ricci, sym_scale,
+from oracles import (apply_elementary, apply_matrix, group_scale, ricci, solve, sym_scale,
                      sym_sp_basis)
 
 
@@ -168,7 +167,7 @@ def _basis_projection(mat, m):
     # Trace-form projection through the sym_sp_basis Gram system.
     basis = sym_sp_basis(m)
     gram = [[bi.trace_inner(bj) for bj in basis] for bi in basis]
-    coeffs = _exact.solve(gram, [b.trace_inner(mat) for b in basis])
+    coeffs = solve(gram, [b.trace_inner(mat) for b in basis])
     out = SymMatrix([[0] * mat.n for _ in range(mat.n)])
     for c, b in zip(coeffs, basis):
         out = out + sym_scale(b, c)
