@@ -111,6 +111,8 @@ def _vector_from_terms(data: list, n=None):
     first = data[0]
     if "exponents" in first:
         exps = [tuple(json_integer(e) for e in t["exponents"]) for t in data]
+        if not exps[0]:
+            raise ValueError("empty exponent list")
         if n is not None and n != len(exps[0]):
             raise ValueError("n = %d differs from the exponent length %d" % (n, len(exps[0])))
         d = sum(exps[0])
@@ -142,27 +144,26 @@ def _render_table(rows: list, header: list, fmt: str) -> None:
 
 def strata(n, d, fmt, paper_signs, svg):
     """Stratum labels for forms of degree D in N variables."""
-    if svg is None:
-        _print_strata(n, d, fmt, paper_signs)
-        return
-    if n != 3:
-        raise UsageError("--svg requires --n 3")
-    # Open the drawing first, so that an unwritable path prints nothing.
-    try:
-        fh = open(svg, "w")
-    except OSError as exc:
-        raise UsageError("cannot write --svg %s: %s" % (svg, exc.strerror))
-    with fh:
-        _write_strata_svg(fh, d, _print_strata(n, d, fmt, paper_signs))
-
-
-def _print_strata(n, d, fmt, paper_signs) -> list:
-    from .ratgeom import Vec
     from .ternary import stratifying_set
 
+    if svg is not None and n != 3:
+        raise UsageError("--svg requires --n 3")
     labels = stratifying_set(d, n)
-    shown = [tuple(sorted(-x for x in b)) if paper_signs else tuple(b)
-             for b in labels]
+    if svg is not None:
+        # Write and close the drawing first, so that a failed write prints nothing.
+        try:
+            with open(svg, "w") as fh:
+                _write_strata_svg(fh, d, labels)
+        except OSError as exc:
+            raise UsageError("cannot write --svg %s: %s" % (svg, exc.strerror))
+    _print_strata(n, d, fmt, paper_signs, labels)
+
+
+def _print_strata(n, d, fmt, paper_signs, labels) -> None:
+    from .ratgeom import Vec
+    from .ternary import display_type
+
+    shown = [display_type(b) if paper_signs else tuple(b) for b in labels]
     payload = {
         "command": "strata", "n": n, "d": d, "paper_signs": paper_signs,
         "count": len(labels),
@@ -179,7 +180,6 @@ def _print_strata(n, d, fmt, paper_signs) -> list:
         _render_table(rows, ["beta_%d" % i for i in range(n)] + ["norm_sq"], fmt)
         if n != 3:
             print("# unverified for n != 3", file=sys.stderr)
-    return labels
 
 
 def _write_strata_svg(fh, d: int, labels) -> None:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 from . import _exact, ratgeom
 from .lattice import RootSystem
 from .ratgeom import PointSet, Vec, interior_certificate, mcc
-from .reps import RepVector, apply_terms, weight_classes
+from .reps import RepVector, apply_terms, moment_parts, weight_classes
 
 
 class NiceWitness(NamedTuple):
@@ -99,17 +99,16 @@ def _torus_nice(parts: dict, backend, roots: RootSystem) -> bool:
     e^<H, 2P + gamma> <pi(X) v_P, v_{P+gamma}> over P; distinct exponentials,
     and square roots of distinct squarefree integers, are independent.  So
     <pi(X) v_P, v_Q> must vanish radicand by radicand for each root Q - P.
+    Every entry of X shifts weights by gamma != 0, and distinct weight spaces
+    are orthogonal, so for u = v_P + v_Q that pairing is <pi(X)u, u>: the sum
+    of x mm_ab(u) |u|^2 over X's entries (a, b, x).  ``moment_parts`` of u,
+    with |u|^2 taken as 1, gives it exactly, radicand by radicand; mm is
+    symmetric, so an entry with a > b reads the mirrored value.
     """
     for p, q, _, gen in _root_pairs(parts, roots):
-        sums: dict = {}
-        for idx, c in parts[p].items():
-            # One term at a time: images of distinct radicands may meet.
-            for new, y in apply_terms(backend, gen, {idx: c}).items():
-                d = parts[q].get(new)
-                if d is not None:
-                    z = y * d * backend.basis_norm_sq(new)
-                    sums[z.s] = sums.get(z.s, 0) + z.r
-        if any(sums.values()):
+        # Fraction(1), not 1: an untouched int 0 divided by 1 is a float.
+        mm = moment_parts(backend, {**parts[p], **parts[q]}, Fraction(1))
+        if any(sum(x * part[a][b] for a, b, x in gen) for part in mm.values()):
             return False
     return True
 
@@ -171,11 +170,9 @@ def critical_coefficients(weights: PointSet, basis_norms, beta) -> Optional[Crit
     norms = tuple(Fraction(x) for x in basis_norms)
     if len(norms) != len(weights):
         raise ValueError("one basis norm per weight is required")
-    particular = interior_certificate(weights, beta)
+    particular = ratgeom.barycentric(weights, beta)
     if particular is None:
-        particular = ratgeom.barycentric(weights, beta)
-        if particular is None:
-            return None
+        return None
     rows, _ = ratgeom._barycentric_system(weights, beta)
     kernel = tuple(tuple(k) for k in _exact.nullspace(rows))
     return CriticalFamily(weights, norms, tuple(particular), kernel)

@@ -172,35 +172,28 @@ def _barycentric_system(s: PointSet, p) -> tuple[list, list]:
 
 
 def barycentric(s: PointSet, p) -> Optional[list[Fraction]]:
-    """Nonnegative coefficients summing to 1 with sum c_i s_i = p, or None."""
-    a_eq, b_eq = _barycentric_system(s, p)
-    res = _exact.simplex_max([Fraction(0)] * len(s), a_eq, b_eq)
-    if res.status != "optimal":
-        return None
-    return res.x
+    """Nonnegative coefficients summing to 1 with sum c_i s_i = p, or None.
 
-
-def interior_certificate(s: PointSet, p) -> Optional[list[Fraction]]:
-    """Strictly positive barycentric certificate for p in relint(CH(s)).
-
-    Solves the exact LP  max t  s.t.  c_i >= t, sum c = 1, sum c_i s_i = p
-    and returns c when the optimum is strictly positive, else None.
+    The one exact hull LP:  max t  s.t.  c_i - t - slack_i = 0, sum c = 1,
+    sum c_i s_i = p, all variables >= 0.  It is feasible exactly when p is in
+    CH(s); its optimum has t* >= 0 and c_i = t* + slack_i >= 0, and t* > 0
+    exactly when p is in relint(CH(s)), where every c_i > 0.  So c is
+    strictly positive whenever it can be.
     """
     rows, b_eq = _barycentric_system(s, p)
     n = len(s)
-    # Variables: c_1..c_n, t, slack_1..slack_n (c_i - t - slack_i = 0).
-    nvars = 2 * n + 1
-    a_eq = [row + [Fraction(0)] * (n + 1) for row in rows]
-    for i in range(n):
-        row = [Fraction(0)] * nvars
-        row[i] = Fraction(1)
-        row[n] = Fraction(-1)
-        row[n + 1 + i] = Fraction(-1)
-        a_eq.append(row)
-        b_eq.append(Fraction(0))
-    objective = [Fraction(0)] * nvars
-    objective[n] = Fraction(1)
-    res = _exact.simplex_max(objective, a_eq, b_eq)
-    if res.status != "optimal" or res.value <= 0:
-        return None
-    return res.x[:len(s)]
+    # Variables c_1..c_n, t, slack_1..slack_n; one row c_i - t - slack_i = 0 per i.
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    a_eq = [row + [0] * (n + 1) for row in rows] + [e + [-1] + [-x for x in e] for e in unit]
+    res = _exact.simplex_max([0] * n + [1] + [0] * n, a_eq, b_eq + [0] * n)
+    return res.x[:n] if res.status == "optimal" else None
+
+
+def interior_certificate(s: PointSet, p) -> Optional[list[Fraction]]:
+    """Strictly positive barycentric certificate for p in relint(CH(s)), or None.
+
+    ``barycentric``'s c is strictly positive exactly then: a feasible c > 0
+    makes t = min c_i > 0 feasible, so t* > 0, and t* > 0 gives c_i >= t*.
+    """
+    c = barycentric(s, p)
+    return c if c is not None and all(ci > 0 for ci in c) else None

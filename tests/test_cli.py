@@ -149,6 +149,7 @@ BAD_TERMS = {
     "fractional_exponents": [{"exponents": [1.5, 2.5, 0], "coeff": "1"}],
     "float_exponent": [{"exponents": [1.0, 3, 0], "coeff": "1"}],
     "string_exponent": [{"exponents": ["1", 3, 0], "coeff": "1"}],
+    "empty_exponents": [{"exponents": [], "coeff": "1"}],
     "fractional_index": [{"i": 1.5, "j": 2, "k": 3, "coeff": "1"}],
     "boolean_index": [{"i": True, "j": 2, "k": 3, "coeff": "1"}],
     "fractional_sign": [{"i": 1, "j": 2, "k": 3, "coeff": {"sq": "1", "sign": 1.5}}],
@@ -559,6 +560,16 @@ def test_strata_unwritable_svg_fails_before_any_output(runner, tmp_path, target)
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert res.stdout == "" and "Traceback" not in res.output
     assert "cannot write --svg" in res.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_strata_svg_write_failure_prints_nothing_on_stdout(runner):
+    # Opening /dev/full succeeds; the write (or the close that flushes it)
+    # fails with ENOSPC.
+    res = runner.invoke(main, ["strata", "--d", "4", "--svg", "/dev/full"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stdout == "" and "Traceback" not in res.output
+    assert "cannot write --svg /dev/full" in res.stderr
 
 
 def test_table2_fixture_row_name_must_be_a_string(runner, tmp_path):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 from orbitforge import _exact, lattice
 from orbitforge.lattice import gl_roots, project_to_sp_diag, sp_diag_roots
 from orbitforge.nicecrit import (_torus_nice, critical_coefficients, is_distinguished,
@@ -172,6 +174,32 @@ def test_critical_coefficients_empty():
     norms = [backend.basis_norm_sq((4, 0, 0)), backend.basis_norm_sq((0, 4, 0))]
     assert critical_coefficients(weights, norms, Vec([-4, 0, 0]) * Fraction(1, 4)
                                  + Vec([0, -4, 0]) * Fraction(0)) is None
+
+
+@pytest.mark.parametrize("exponents, beta, expected", [
+    # beta on a vertex: one point solution, no interior certificate.
+    ([(4, 2, 0), (5, 0, 1)], [-4, -2, 0], (1, 0)),
+    # beta outside the hull: no solution.
+    ([(3, 1, 0)], [-3, Fraction(-1, 2), Fraction(-1, 2)], None),
+])
+def test_critical_coefficients_solves_one_lp(monkeypatch, exponents, beta, expected):
+    calls = []
+    original = _exact.simplex_max
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_exact, "simplex_max", counting)
+    backend = PolyBackend(3, sum(exponents[0]))
+    weights = PointSet([backend.weight(e) for e in exponents])
+    fam = critical_coefficients(weights, [backend.basis_norm_sq(e) for e in exponents],
+                                Vec(beta))
+    assert len(calls) == 1
+    if expected is None:
+        assert fam is None
+    else:
+        assert fam.particular == expected and fam.kernel == ()
 
 
 def _dense(entries, n):

@@ -135,6 +135,14 @@ def test_interior_certificate_strict():
     assert barycentric(s, Vec([1, 0])) is not None
 
 
+def test_barycentric_is_strictly_positive_where_it_can_be():
+    # The centre of a square: the one LP maximises the least coefficient, so
+    # it returns the uniform point, not a vertex of the feasible polytope.
+    s = PointSet([Vec([0, 0]), Vec([2, 0]), Vec([0, 2]), Vec([2, 2])])
+    assert list(barycentric(s, Vec([1, 1]))) == [Fraction(1, 4)] * 4
+    assert interior_certificate(s, Vec([1, 1])) == barycentric(s, Vec([1, 1]))
+
+
 def test_relative_interior_is_relative():
     # A segment in the plane: its midpoint is relint, its endpoint is not.
     s = PointSet([Vec([0, 1]), Vec([2, 1])])
