@@ -3,10 +3,11 @@
 Subpackages of functionality:
 
 * ``ratgeom``  -- exact rational convex geometry (mcc, relative interior)
-* ``lattice``  -- root systems and diagonal subalgebras (gl, sl, sp)
+* ``lattice``  -- root systems and diagonal subalgebras (gl, sp)
 * ``coeffs``   -- r*sqrt(s) exact coefficients
-* ``reps``     -- n-ary form and Lie bracket representations, weights, moment maps
-* ``nicecrit`` -- nice spaces, distinguished-orbit verdicts, critical coefficients
+* ``reps``     -- n-ary form and Lie bracket representations, weights, gl and sp moment maps
+* ``nicecrit`` -- nice spaces from their weights, distinguished-orbit verdicts,
+  critical coefficients
 * ``flow``     -- binary64 Newton solver for the moment equation
 * ``ternary``  -- strata of ternary forms, degree-4 classification
 * ``nilgeom``  -- nilpotent brackets, minimal compatible metrics

@@ -208,7 +208,7 @@ def _write_strata_svg(fh, d: int, labels) -> None:
 
 def check(path, group, paper_signs):
     """Distinguished-orbit verdict for a form or bracket file."""
-    from .lattice import gl_roots, sl_roots, sp_diag_roots
+    from .lattice import gl_roots, sp_diag_roots
     from .nicecrit import orbit_verdict
     from .ratgeom import Vec
 
@@ -219,7 +219,8 @@ def check(path, group, paper_signs):
             raise UsageError("sp requires even dimension")
         roots = sp_diag_roots(n // 2)
     else:
-        roots = gl_roots(n) if group == "gl" else sl_roots(n)
+        # SL_n has gl_n's roots: sl differs only in its trace-free label.
+        roots = gl_roots(n)
     verdict = orbit_verdict(v, roots)
     beta = verdict.beta
     if beta is not None and group == "sl":

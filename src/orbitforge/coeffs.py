@@ -174,11 +174,15 @@ class Coeff:
     __radd__ = __add__
 
     def __eq__(self, other):
-        other = Coeff(other)
+        try:
+            other = Coeff(other)
+        except (TypeError, ValueError, ZeroDivisionError):
+            return NotImplemented
         return self.r == other.r and self.s == other.s
 
     def __hash__(self):
-        return hash((self.r, self.s))
+        # A rational Coeff equals its value, so it hashes like it.
+        return hash(self.r) if self.s == 1 else hash((self.r, self.s))
 
     def __float__(self):
         return float(self.r) * float(self.s) ** 0.5

@@ -76,14 +76,15 @@ class NewtonResult(NamedTuple):
 
 
 def solve_moment_equation(w: RepVector, beta, subgroup: str = "gl") -> NewtonResult:
-    """Newton solve of mm_a(exp(X).w) = beta over the diagonal subalgebra.
+    """Newton solve of mm_a(exp(X).w) = beta over the diagonal subalgebra of
+    the acting group, "gl" or "sp" (whose weights are sp-projected).
 
     ``beta`` must be mcc of the (projected) support and lie in the relative
     interior of its hull; otherwise no solution exists and a ValueError is
     raised.  Weights, masses and the search space are prepared exactly; only
     the Newton iteration itself runs in binary64.
     """
-    if subgroup not in ("gl", "sl", "sp"):
+    if subgroup not in ("gl", "sp"):
         raise ValueError("unknown subgroup %r" % subgroup)
     n = w.backend.n
     beta = Vec(beta)

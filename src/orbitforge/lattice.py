@@ -1,4 +1,4 @@
-"""Restricted roots and diagonal subalgebras for GL_n(R), SL_n(R), Sp(2m,R).
+"""Restricted roots and diagonal subalgebras for GL_n(R) and Sp(2m,R).
 
 Diagonal matrices are identified with vectors throughout; the trace form on
 diagonals is then the standard dot product.  The symplectic form is fixed to
@@ -7,10 +7,10 @@ diagonal part of sp(2m,R) is the set of patterns (a_1,...,a_m,-a_m,...,-a_1).
 The roots and their root-space generators come from one loop over matrix
 positions, run once per ``RootSystem``, whose ``spaces`` table maps each root
 to its generator, a tuple of sparse (a, b, x) entries.  A root is an
-exact tuple: a plain tuple of integers for gl and sl, and a ``Vec`` (a tuple
+exact tuple: a plain tuple of integers for gl, and a ``Vec`` (a tuple
 subclass) of ``Fraction`` halves for sp.  Since ``Fraction(k)`` and ``k``
 compare and hash equal, a ``Vec``, a list or an integer tuple with the same
-entries is the same root.
+entries is the same root.  SL_n(R) has gl_n's roots, so none is named sl.
 """
 
 from __future__ import annotations
@@ -22,17 +22,17 @@ class RootSystem:
     """The roots of a diagonal subalgebra, closed under negation, and their root spaces.
 
     ``spaces`` maps each root to the generator of its root space, a tuple of
-    sparse (a, b, x) entries.  GL_n, SL_n and Sp(2m,R) are split, so each root
+    sparse (a, b, x) entries.  GL_n and Sp(2m,R) are split, so each root
     space is a line: the position loop ``_root_spaces`` yields exactly one
     generator per root.  ``roots`` is the frozenset of the roots, exact tuples
-    (integers for gl and sl, a Vec of Fraction halves for sp); membership
+    (integers for gl, a Vec of Fraction halves for sp); membership
     takes any sequence of the same entries, and ``spaces`` any tuple of them.
     """
 
     __slots__ = ("n", "spaces", "subgroup", "roots")
 
-    def __init__(self, n: int, spaces: dict, subgroup: str):  # "gl" | "sl" | "sp"
-        if subgroup not in ("gl", "sl", "sp"):
+    def __init__(self, n: int, spaces: dict, subgroup: str):  # "gl" | "sp"
+        if subgroup not in ("gl", "sp"):
             raise ValueError("unknown subgroup %r" % subgroup)
         roots = frozenset(spaces)
         if (0,) * n in roots:
@@ -59,11 +59,11 @@ class RootSystem:
 def _root_spaces(n: int, subgroup: str):
     """(root, generator) pairs spanning the root spaces, from matrix positions.
 
-    gl/sl: position (a, b), a != b, gives the root e_a - e_b and E_ab.  sp
+    gl: position (a, b), a != b, gives the root e_a - e_b and E_ab.  sp
     (n = 2m): M^T J + J M = 0 pairs (a, b) with (n-1-b, n-1-a) (the same
     position when b = n-1-a), and each pair gives the projected root and
     E_ab - sgn(a) sgn(b) E_{n-1-b,n-1-a}.  A generator is a tuple of sparse
-    (a, b, x) entries, and a root is an integer tuple for gl/sl and the
+    (a, b, x) entries, and a root is an integer tuple for gl and the
     projected Vec for sp.
     """
     m = n // 2
@@ -83,14 +83,10 @@ def _root_spaces(n: int, subgroup: str):
 
 
 def gl_roots(n: int) -> RootSystem:
-    """Roots gamma_ab = e_a - e_b of gl_n (equal to those of sl_n)."""
+    """Roots gamma_ab = e_a - e_b of gl_n, which are also those of sl_n."""
     if n < 1:
         raise ValueError("n must be positive")
     return RootSystem(n, dict(_root_spaces(n, "gl")), "gl")
-
-
-def sl_roots(n: int) -> RootSystem:
-    return RootSystem(n, gl_roots(n).spaces, "sl")
 
 
 def sp_diag_roots(m: int) -> RootSystem:

@@ -4,10 +4,10 @@ A subspace spanned by weight vectors is "nice" when the moment map sends all
 of it into the diagonal subalgebra; on a nice space, whether the orbit of an
 element is distinguished reduces to exact convex geometry: the minimum-norm
 point beta of the convex hull of its weights must lie in the relative
-interior of that hull.  The niceness test applies each root's generator
-(``RootSystem.spaces``) sparsely, through the backend's action primitive.
-``orbit_verdict`` decides one vector's orbit: where the span is not nice,
-the torus test, the vector form of the niceness test, may still prove it.
+interior of that hull.  A span of weight spaces is nice exactly when no two
+of its weights differ by a root (``is_nice``).  ``orbit_verdict`` decides one
+vector's orbit: where the span is not nice, the torus test, the vector form
+of the niceness test, may still prove it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 from . import _exact, ratgeom
 from .lattice import RootSystem
 from .ratgeom import PointSet, Vec, interior_certificate, mcc
-from .reps import RepVector, apply_terms, moment_parts, weight_classes
+from .reps import RepVector, moment_parts, weight_classes
 
 
 class NiceWitness(NamedTuple):
@@ -37,7 +37,7 @@ class Verdict(NamedTuple):
 
 
 def _projection(roots: RootSystem) -> Optional[int]:
-    """m for the sp(2m) weight projection, or None for gl and sl."""
+    """m for the sp(2m) weight projection, or None for gl."""
     return roots.n // 2 if roots.subgroup == "sp" else None
 
 
@@ -52,11 +52,19 @@ def _root_pairs(weights, roots: RootSystem):
 def is_nice(weights: PointSet, backend, roots: RootSystem):
     """Decide whether the span of all basis vectors with these weights is nice.
 
-    Returns (True, None) or (False, NiceWitness).  The span is nice unless,
-    for a pair (alpha_i, alpha_j) with gamma = alpha_j - alpha_i a root, the
-    generator of g_gamma (``RootSystem.spaces``) sends the alpha_i weight
-    space to a vector with a component on the span.  It maps that weight
-    space into the alpha_j one, all in the span, so any nonzero image does.
+    Returns (True, None), or (False, NiceWitness) for the first pair whose
+    difference gamma = alpha_j - alpha_i is a root; ValueError for a weight
+    that is not one of the representation.  The generator X_gamma of g_gamma
+    maps the weight space V_p into V_{p+gamma}, so only root pairs can fail,
+    and each does.  With s = <X_gamma, X_-gamma, H_gamma> = sl_2 (each root
+    space is a line), the gamma-string of V_p is an s-module whose
+    H_gamma-eigenspaces are the V_{p+k gamma}, with eigenvalues c + 2k for the
+    integer c = <p, gamma^v>.  On an irreducible of highest weight h, X_gamma
+    is injective on every eigenspace but the top one.  If c <= -1, every
+    irreducible meeting V_p has h >= -c >= c + 2.  If c >= -1, every
+    irreducible meeting V_{p+gamma} has h >= c + 2 >= 1, so it holds the
+    eigenvalue c too.  Either way X_gamma maps some vector of V_p to a
+    nonzero vector.
     """
     if backend.n != roots.n:
         raise ValueError("backend and root system dimensions differ")
@@ -64,10 +72,8 @@ def is_nice(weights: PointSet, backend, roots: RootSystem):
     for w in weights:
         if w not in table:
             raise ValueError("weight %r is not a weight of this representation" % (w,))
-    for wi, wj, gamma, gen in _root_pairs(weights, roots):
-        for idx in table[wi]:
-            if apply_terms(backend, gen, {idx: 1}):
-                return False, NiceWitness(wi, wj, gamma)
+    for wi, wj, gamma, _ in _root_pairs(weights, roots):
+        return False, NiceWitness(wi, wj, gamma)
     return True, None
 
 
@@ -118,9 +124,9 @@ def orbit_verdict(v: RepVector, roots: RootSystem) -> Verdict:
     but "distinguished" where the span is not nice, the torus test passes
     (mm(T.v) is diagonal) and beta is interior.  Without a nice span an
     exterior beta proves nothing, so "not_nice" stands.  beta comes back in
-    the coordinates of the weights it was given (sp-projected for sp, and
-    with the weights' common trace for sl).  Raises ValueError for the zero
-    vector or when v and the roots differ in dimension.
+    the coordinates of the weights it was given (sp-projected for sp).
+    Raises ValueError for the zero vector or when v and the roots differ in
+    dimension.
     """
     return _orbit_verdict(weight_classes(v.backend, dict(v.sorted_terms()), _projection(roots)),
                           v.backend, roots)

@@ -335,12 +335,13 @@ def load_table2_fixture(path: Optional[str] = None) -> dict:
     return fixture
 
 
-def bracket_from_fixture_terms(terms, n: int = 6) -> LieBracket:
+def bracket_from_fixture_terms(terms) -> LieBracket:
+    """A bracket on R^6 from fixture terms: 1-based "i", "j", "k", "sq" and "sign"."""
     items = []
     for t in terms:
         coeff = Coeff.from_square(json_rational(t["sq"]), json_integer(t["sign"]))
         items.append((tuple(json_integer(t[key]) - 1 for key in "ijk"), coeff))
-    return LieBracket.from_terms(n, items)
+    return LieBracket.from_terms(6, items)
 
 
 def _verify_instance(row: dict, inst: dict) -> TableRowReport:
@@ -384,10 +385,11 @@ def run_table2(path: Optional[str] = None, row: Optional[str] = None):
 
     ``row`` restricts the check to the rows whose name contains it, ignoring
     case, dots and parentheses ("18a" selects "18.(a_t)"); other rows are
-    not computed.
+    not computed, and a ``row`` with nothing else ("", "()") selects none.
     """
     fixture = load_table2_fixture(path)
     rows = fixture["rows"]
     if row is not None:
-        rows = [r for r in rows if _row_key(row) in _row_key(r["name"])]
+        key = _row_key(row)
+        rows = [r for r in rows if key and key in _row_key(r["name"])]
     return [_verify_instance(r, inst) for r in rows for inst in r["instances"]]

@@ -14,7 +14,8 @@ Each backend has one action primitive, ``act(a, b, idx)``: pi(E_ab) on one
 basis index, as at most three (index, integer factor) pairs.  The sparse
 ``apply_terms``, which takes a matrix as its nonzero (a, b, x) entries (the
 form of the root-space generators in ``RootSystem.spaces``), and the closed-form moment map
-mm_ab = <pi(E_ab)v, v> / |v|^2 use nothing else of the action.
+mm_ab = <pi(E_ab)v, v> / |v|^2 use nothing else of the action; the acting
+group's moment map projects it (identity for gl, ``project_sym_sp`` for sp).
 
 ``weight_classes(backend, terms, m)`` groups basis indices by their weight,
 projected to the sp(2m) diagonal when m is given: {weight: {idx: coeff}}.
@@ -68,9 +69,6 @@ class SymMatrix:
         return all(self.rows[i][j] == 0
                    for i in range(self.n) for j in range(self.n) if i != j)
 
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.n)), Fraction(0))
-
     def trace_inner(self, other: "SymMatrix") -> Fraction:
         return sum((self.rows[i][j] * other.rows[i][j]
                     for i in range(self.n) for j in range(self.n)), Fraction(0))
@@ -80,9 +78,6 @@ class SymMatrix:
 
     def __add__(self, other):
         return SymMatrix([a + b for a, b in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return SymMatrix([a - b for a, b in zip(self.rows, other.rows)])
 
     def __eq__(self, other):
         return isinstance(other, SymMatrix) and self.rows == other.rows
@@ -328,20 +323,12 @@ def moment_parts(backend, terms: dict, nsq) -> dict:
             for s, p in parts.items()}
 
 
-def _rational_part(parts: dict) -> SymMatrix:
-    for s, part in parts.items():
-        if s != 1 and part.norm_sq() != 0:
-            raise IrrationalError("moment-map entries with a sqrt(%d) part" % s)
-    return parts[1]
-
-
 def moment_map(v: RepVector) -> SymMatrix:
     """The moment-map value mm(v): <mm(v), S> = <pi(S)v, v> / |v|^2.
 
     Raises IrrationalError when an entry is irrational (mixed radicands).
     """
-    parts = moment_parts(v.backend, v.terms, v.norm_sq())
-    return _rational_part({s: SymMatrix(p) for s, p in parts.items()})
+    return moment_map_restricted(v, "gl")
 
 
 def project_sym_sp(mat: SymMatrix, m: int) -> SymMatrix:
@@ -360,19 +347,20 @@ def project_sym_sp(mat: SymMatrix, m: int) -> SymMatrix:
 
 def moment_map_restricted(v: RepVector, subgroup: str,
                           m: Optional[int] = None) -> SymMatrix:
-    """mm for a compatible subgroup: the projection of mm(v).
-
-    subgroup "sl": subtract the trace part.  subgroup "sp": project onto the
-    symmetric part of sp(2m,R); requires m with backend dimension n = 2m.
+    """mm for the acting group: mm(v) for "gl", and for "sp" its projection
+    onto the symmetric part of sp(2m,R), given m with backend dimension 2m.
     Raises IrrationalError only when the projection has an irrational entry.
     """
-    if subgroup == "sl":
-        project = lambda p: p - SymMatrix.diagonal([p.trace() / p.n] * p.n)
+    if subgroup == "gl":
+        project = SymMatrix
     elif subgroup == "sp":
         if m is None or 2 * m != v.backend.n:
             raise ValueError("sp projection needs m with n = 2m")
-        project = lambda p: project_sym_sp(p, m)
+        project = lambda p: project_sym_sp(SymMatrix(p), m)
     else:
         raise ValueError("unknown subgroup %r" % subgroup)
-    parts = moment_parts(v.backend, v.terms, v.norm_sq())
-    return _rational_part({s: project(SymMatrix(p)) for s, p in parts.items()})
+    parts = {s: project(p) for s, p in moment_parts(v.backend, v.terms, v.norm_sq()).items()}
+    for s, part in parts.items():
+        if s != 1 and part.norm_sq() != 0:
+            raise IrrationalError("moment-map entries with a sqrt(%d) part" % s)
+    return parts[1]

@@ -84,10 +84,9 @@ def maximal_nice_subsets(weights: PointSet):
     """Maximal subsets whose monomial span is nice, as PointSets.
 
     The weights are those of R[x_1..x_n]_d, n their dimension and d minus the
-    sum of any one.  For monomial spans niceness is pairwise (no weight
-    difference a root), so these are the maximal independent sets of the
-    root-difference graph: with no root-related pair, ``nicecrit.is_nice``
-    has no image to check.
+    sum of any one.  A span of weight spaces is nice exactly when no two of
+    its weights differ by a root (``nicecrit.is_nice``), so these are the
+    maximal independent sets of the root-difference graph.
     """
     roots = gl_roots(weights.dim)
     edges = [(i, j) for i in range(len(weights)) for j in range(i + 1, len(weights))

@@ -17,6 +17,9 @@ a quantity the package computes another way:
   Newton solutions, and ``project_to_subspace``, which compares Newton
   solutions modulo the directions the moment equation cannot see;
 * ``family_member``: one mass vector of a critical coefficient family;
+* ``image_pairs`` and ``nice_by_images``: niceness from the images of every
+  root-space generator on every basis vector, against ``nicecrit.is_nice``,
+  which reads the weights and the root set alone;
 * ``torus_diagonal``: the torus test as a scan over every root, root-space
   generator and term, against the pairwise test behind
   ``nicecrit.orbit_verdict``;
@@ -29,6 +32,7 @@ a quantity the package computes another way:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import exp
 
 from orbitforge import _exact
@@ -267,6 +271,29 @@ def family_member(family, params) -> tuple:
     if any(ci < 0 for ci in c):
         raise ValueError("parameters leave the nonnegative orthant")
     return tuple(c)
+
+
+@lru_cache(maxsize=None)
+def image_pairs(backend, roots) -> frozenset:
+    """Ordered (sp-projected) weight pairs (p, q) such that a root-space
+    generator sends a basis vector of weight p to a vector with a component
+    of weight q."""
+    m = roots.n // 2 if roots.subgroup == "sp" else None
+    pairs = set()
+    for idx in backend.all_indices():
+        p = weight_of(backend, idx, m)
+        for gen in roots.spaces.values():
+            pairs.update((p, weight_of(backend, t, m))
+                         for t in apply_terms(backend, gen, {idx: 1}))
+    return frozenset(pairs)
+
+
+def nice_by_images(weights, backend, roots) -> bool:
+    """Whether the span of all basis vectors with these weights is nice: no
+    root-space generator sends a basis vector of the span to a vector with a
+    component on the span."""
+    pairs = image_pairs(backend, roots)
+    return not any((p, q) in pairs for p in weights for q in weights)
 
 
 def torus_diagonal(v: RepVector, roots) -> bool:

@@ -254,6 +254,35 @@ def test_minimize_not_distinguished_is_data(runner, tmp_path):
     assert json.loads(res.output)["outcome"] == "not_nice"
 
 
+def _shipped_instances():
+    """(instance, its terms in the CLI's input format) for the 15 shipped instances."""
+    for row in nilgeom.load_table2_fixture()["rows"]:
+        for inst in row["instances"]:
+            yield inst, [{"i": t["i"], "j": t["j"], "k": t["k"],
+                          "coeff": {"sq": t["sq"], "sign": t["sign"]}} for t in inst["terms"]]
+
+
+def test_check_sl_is_gl_with_the_trace_free_label_on_every_shipped_instance(runner, tmp_path):
+    # SL_n has gl_n's roots: the same outcome, certificate and witness, and
+    # the label beta - (tr beta / n)(1, ..., 1).
+    path = tmp_path / "mu.json"
+    outcomes = []
+    for inst, terms in _shipped_instances():
+        path.write_text(json.dumps({"n": 6, "terms": terms}))
+        gl = json.loads(_invoke(runner, ["check", "--input", str(path)]).output)
+        sl = json.loads(_invoke(runner, ["check", "--input", str(path), "--group", "sl"]).output)
+        assert sl.pop("group") == "sl" and gl.pop("group") == "gl"
+        gl_beta, sl_beta = gl.pop("beta"), sl.pop("beta")
+        assert sl == gl, inst["label"]
+        if gl_beta is None:
+            assert sl_beta is None
+        else:
+            beta = [Fraction(x) for x in gl_beta]
+            assert [Fraction(x) for x in sl_beta] == [b - sum(beta) / 6 for b in beta]
+        outcomes.append(gl["outcome"])
+    assert len(outcomes) == 15 and len(set(outcomes)) > 1
+
+
 def test_check_sp_agrees_with_minimize_on_every_shipped_instance(runner, tmp_path):
     # 18.(b_t) and 18.(c) have no nice span: check decides them, as minimize
     # does, by the torus test.  Each file states n = 6: a bare list's
@@ -261,32 +290,29 @@ def test_check_sp_agrees_with_minimize_on_every_shipped_instance(runner, tmp_pat
     # both commands refuse 23.(c)'s bare list as 5-dimensional.
     path = tmp_path / "mu.json"
     labels = []
-    for row in nilgeom.load_table2_fixture()["rows"]:
-        for inst in row["instances"]:
-            terms = [{"i": t["i"], "j": t["j"], "k": t["k"],
-                      "coeff": {"sq": t["sq"], "sign": t["sign"]}} for t in inst["terms"]]
-            if inst["label"] == "23.(c)":
-                path.write_text(json.dumps(terms))
-                check = runner.invoke(main, ["check", "--input", str(path), "--group", "sp"])
-                found = runner.invoke(main, ["minimize", "--input", str(path)])
-                assert check.exit_code == found.exit_code == 2
-                assert "even" in check.stderr and "even" in found.stderr
-            path.write_text(json.dumps({"n": 6, "terms": terms}))
+    for inst, terms in _shipped_instances():
+        if inst["label"] == "23.(c)":
+            path.write_text(json.dumps(terms))
             check = runner.invoke(main, ["check", "--input", str(path), "--group", "sp"])
             found = runner.invoke(main, ["minimize", "--input", str(path)])
-            check, found = json.loads(check.output), json.loads(found.output)
-            assert check["outcome"] == found["outcome"] == "distinguished", inst["label"]
-            assert check["beta"] == found["beta"] and check["witness"] is None
-            beta = [Fraction(x) for x in check["beta"]]
-            cert = [Fraction(x) for x in check["certificate"]]
-            mu = nilgeom.bracket_from_fixture_terms(inst["terms"])
-            weights = list(support_projected(mu.vector, 3))
-            assert len(cert) == len(weights) and all(c > 0 for c in cert)
-            assert sum(cert) == 1
-            assert [sum(c * w[i] for c, w in zip(cert, weights)) for i in range(6)] == beta
-            labels.append(inst["label"])
-            if inst["label"] == "23.(c)":
-                assert check["beta"] == ["-1/2", "-1/2", "1/2", "-1/2", "1/2", "1/2"]
+            assert check.exit_code == found.exit_code == 2
+            assert "even" in check.stderr and "even" in found.stderr
+        path.write_text(json.dumps({"n": 6, "terms": terms}))
+        check = runner.invoke(main, ["check", "--input", str(path), "--group", "sp"])
+        found = runner.invoke(main, ["minimize", "--input", str(path)])
+        check, found = json.loads(check.output), json.loads(found.output)
+        assert check["outcome"] == found["outcome"] == "distinguished", inst["label"]
+        assert check["beta"] == found["beta"] and check["witness"] is None
+        beta = [Fraction(x) for x in check["beta"]]
+        cert = [Fraction(x) for x in check["certificate"]]
+        mu = nilgeom.bracket_from_fixture_terms(inst["terms"])
+        weights = list(support_projected(mu.vector, 3))
+        assert len(cert) == len(weights) and all(c > 0 for c in cert)
+        assert sum(cert) == 1
+        assert [sum(c * w[i] for c, w in zip(cert, weights)) for i in range(6)] == beta
+        labels.append(inst["label"])
+        if inst["label"] == "23.(c)":
+            assert check["beta"] == ["-1/2", "-1/2", "1/2", "-1/2", "1/2", "1/2"]
     assert len(labels) == 15
 
 
@@ -364,6 +390,14 @@ def test_table2_row_filter(runner):
     assert payload["rows"][0]["derivation_multiple"] == "1/4"
     res = runner.invoke(main, ["table2", "--row", "nonexistent"])
     assert res.exit_code != 0
+
+
+@pytest.mark.parametrize("row", ["", "()", "."])
+def test_table2_row_of_only_ignored_characters_matches_nothing(runner, row):
+    # Case, dots and parentheses are ignored: such a key names no row.
+    res = runner.invoke(main, ["table2", "--row", row])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert "no row matches" in res.stderr
 
 
 def _fixture_row(name, terms):

@@ -99,6 +99,16 @@ def test_equality_and_hash():
     assert Coeff(1, 2) != Coeff(1, 3)
 
 
+def test_rational_coeffs_hash_like_their_values_and_others_compare_unequal():
+    assert Coeff(2) == 2 and hash(Coeff(2)) == hash(2)
+    assert {Coeff(2): "two"}.get(2) == "two"
+    assert {Fraction(1, 3): "third"}.get(Coeff(Fraction(1, 3))) == "third"
+    assert hash(Coeff(0)) == hash(0)
+    # Operands that are no CoeffLike are unequal, not errors.
+    for other in (None, "abc", "1/0", [1], object()):
+        assert Coeff(1) != other and not Coeff(1) == other
+
+
 def test_json_rationals_are_strings_or_integers():
     assert json_rational("-3/4") == Fraction(-3, 4)
     assert json_rational(5) == 5 and json_rational("1e3") == 1000

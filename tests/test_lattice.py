@@ -6,7 +6,7 @@ import pytest
 
 from orbitforge import lattice
 from orbitforge.lattice import (RootSystem, chamber_canonical, gl_roots,
-                                project_to_sp_diag, sl_roots, sp_diag_roots)
+                                project_to_sp_diag, sp_diag_roots)
 from orbitforge.ratgeom import Vec
 
 
@@ -17,7 +17,6 @@ def test_gl_roots_count_and_membership():
     assert Vec([1, 0, -1]) in rs
     assert Vec([1, 1, -2]) not in rs
     assert Vec([0, 0, 0]) not in rs
-    assert sl_roots(3).roots == rs.roots and sl_roots(3).spaces == rs.spaces
 
 
 def test_sp_roots_count():
@@ -81,8 +80,8 @@ def test_sp_roots_match_the_eps_formula(m):
     assert sp_diag_roots(m).roots == _eps_roots(m)
 
 
-@pytest.mark.parametrize("rs", [gl_roots(1), gl_roots(3), sl_roots(4)],
-                         ids=["gl1", "gl3", "sl4"])
+@pytest.mark.parametrize("rs", [gl_roots(1), gl_roots(3), gl_roots(4)],
+                         ids=["gl1", "gl3", "gl4"])
 def test_gl_root_spaces_are_the_elementary_matrices(rs):
     n = rs.n
     for a in range(n):
@@ -97,6 +96,9 @@ def test_root_space_rejects_an_unknown_subgroup():
     # At construction, before any root space is read.
     with pytest.raises(ValueError, match="unknown subgroup"):
         RootSystem(2, gl_roots(2).spaces, "so")
+    # SL_n has gl_n's roots, so a root system is named gl or sp only.
+    with pytest.raises(ValueError, match="unknown subgroup"):
+        RootSystem(2, gl_roots(2).spaces, "sl")
 
 
 TABLES = ([(gl_roots(n), n * (n - 1)) for n in range(1, 7)]

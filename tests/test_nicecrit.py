@@ -8,14 +8,15 @@ import pytest
 
 from orbitforge import _exact, lattice
 from orbitforge.lattice import gl_roots, project_to_sp_diag, sp_diag_roots
-from orbitforge.nicecrit import (_torus_nice, critical_coefficients, is_distinguished,
-                                 is_nice, orbit_verdict)
+from orbitforge.nicecrit import (_projection, _root_pairs, _torus_nice, critical_coefficients,
+                                 is_distinguished, is_nice, orbit_verdict)
 from orbitforge.nilgeom import bracket_from_fixture_terms, load_table2_fixture
 from orbitforge.ratgeom import PointSet, Vec, interior_certificate, mcc
 from orbitforge.reps import (BracketBackend, PolyBackend, RepVector, support, support_projected,
                              weight_classes, weight_of)
 
-from oracles import apply_matrix, family_member, gram, positive_solution, torus_diagonal
+from oracles import (family_member, gram, image_pairs, nice_by_images, positive_solution,
+                     torus_diagonal)
 from test_orbit_stream_golden import _question, _stream_round
 
 
@@ -63,31 +64,20 @@ def test_positive_solution_iff_relative_interior():
         assert (sol is not None) == (interior_certificate(weights, mcc(weights)) is not None)
 
 
-def _nice_oracle(weights: PointSet, backend, generators, weight: dict) -> bool:
-    """Every root-space generator (as a matrix), applied to every basis vector
-    of the span (``weight`` maps each basis index to its weight): nice iff no
-    image has a component on the span."""
-    members = weights.as_set()
-    span = {idx for idx, w in weight.items() if w in members}
-    return not any(t in span for matrix in generators for idx in span
-                   for t in apply_matrix(matrix, RepVector(backend, {idx: 1})).terms)
-
-
-def test_nice_fast_path_matches_generator_images():
-    """The full-generator oracle vs is_nice on random spans of basis vectors:
+def test_is_nice_matches_generator_images():
+    """The generator-image oracle vs is_nice on random spans of basis vectors:
     forms under GL(3), brackets under GL(6) and under Sp(6)."""
     for backend, roots, m in ((PolyBackend(3, 4), gl_roots(3), None),
                               (BracketBackend(6), gl_roots(6), None),
                               (BracketBackend(6), sp_diag_roots(3), 3)):
         weight = {idx: weight_of(backend, idx, m) for idx in backend.all_indices()}
-        generators = [_dense(gen, backend.n) for gen in roots.spaces.values()]
         rng = random.Random(3)
         outcomes = set()
         for _ in range(200):
             subset = rng.sample(list(weight), rng.randint(1, 5))
             weights = PointSet(dict.fromkeys(weight[idx] for idx in subset))
             nice, witness = is_nice(weights, backend, roots)
-            assert nice == _nice_oracle(weights, backend, generators, weight)
+            assert nice == nice_by_images(weights, backend, roots)
             if not nice:
                 assert witness.alpha_i in weights and witness.alpha_j in weights
                 assert witness.alpha_j - witness.alpha_i == witness.root
@@ -95,16 +85,41 @@ def test_nice_fast_path_matches_generator_images():
         assert outcomes == {True, False}, roots.subgroup
 
 
-def test_is_nice_sp_full_path():
+# poly(n, d) and bracket(n) under gl_n and sp(n), n = 2m: every group and
+# representation that the package decides niceness for, at small sizes.
+_NICE_GRID = ([(PolyBackend(3, d), gl_roots(3)) for d in range(1, 7)]
+              + [(PolyBackend(4, d), gl_roots(4)) for d in range(1, 5)]
+              + [(PolyBackend(2, 7), gl_roots(2)), (PolyBackend(2, 5), sp_diag_roots(1))]
+              + [(PolyBackend(4, d), sp_diag_roots(2)) for d in range(1, 6)]
+              + [(PolyBackend(6, d), sp_diag_roots(3)) for d in range(1, 4)]
+              + [(BracketBackend(n), gl_roots(n)) for n in range(2, 8)]
+              + [(BracketBackend(2 * m), sp_diag_roots(m)) for m in range(1, 5)])
+
+
+@pytest.mark.parametrize("backend, roots", _NICE_GRID,
+                         ids=["%s%s_%s" % (b.kind, "-".join(map(str, b[:-1])), r.subgroup)
+                              for b, r in _NICE_GRID])
+def test_weights_differ_by_a_root_exactly_where_a_generator_image_links_them(backend, roots):
+    # The ordered weight pairs that is_nice reads (``_root_pairs``) are the
+    # pairs (p, q) where a root-space generator maps V_p to a nonzero vector
+    # of V_q, so a span of weight spaces is nice iff no two weights differ by
+    # a root.
+    weights = PointSet(weight_classes(backend, dict.fromkeys(backend.all_indices()),
+                                      _projection(roots)))
+    pairs = {(p, q) for p, q, _, _ in _root_pairs(weights, roots)}
+    assert pairs and pairs == image_pairs(backend, roots)
+
+
+def test_is_nice_sp_worked_bracket():
     backend6 = RepVector.bracket(6, [((0, 3, 5), 1)]).backend
     roots = sp_diag_roots(3)
     # The worked bracket's projected weights differ by eps_1 - eps_2 + ...:
-    # pairwise differences are not sp roots, fast path applies.
+    # pairwise differences are not sp roots, so the span is nice.
     mu = RepVector.bracket(6, [((0, 3, 5), 1), ((1, 2, 4), 1)])
     nice, _ = is_nice(support_projected(mu, 3), backend6, roots)
     assert nice
-    # Swapped centers: the projected weights differ by a root and the
-    # perpendicularity check fails.
+    # Swapped centers: the projected weights differ by a root, so the span
+    # is not nice.
     bad = RepVector.bracket(6, [((0, 1, 5), 1), ((2, 3, 4), 1)])
     nice, witness = is_nice(support_projected(bad, 3), backend6, roots)
     assert not nice and witness is not None
