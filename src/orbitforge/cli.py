@@ -19,7 +19,9 @@ The parser needs only the standard library.  Each subcommand imports the
 modules it runs inside its body: ``strata``, ``classify`` and ``table1`` load
 ``ternary``; ``check`` loads ``reps``, ``lattice`` and ``nicecrit``;
 ``table2`` and ``minimize`` load ``nilgeom``, which loads ``flow`` only to
-solve for a metric.
+solve for a metric.  ``_roots`` turns the ``--group`` of ``check`` and
+``minimize`` into a ``lattice.RootSystem``; under gl, ``minimize`` finds a
+nilsoliton.
 """
 
 from __future__ import annotations
@@ -206,22 +208,23 @@ def _write_strata_svg(fh, d: int, labels) -> None:
     fh.write("\n".join(parts))
 
 
+def _roots(group: str, n: int, odd_sp: str):
+    """Roots of ``group`` on R^n (sl has gl's); under sp an odd n is the usage error ``odd_sp``."""
+    from .lattice import gl_roots, sp_diag_roots
+
+    if group == "sp" and n % 2:
+        raise UsageError(odd_sp)
+    return sp_diag_roots(n // 2) if group == "sp" else gl_roots(n)
+
+
 def check(path, group, paper_signs):
     """Distinguished-orbit verdict for a form or bracket file."""
-    from .lattice import gl_roots, sp_diag_roots
     from .nicecrit import orbit_verdict
     from .ratgeom import Vec
 
     v = _load_vector(path)
     n = v.backend.n
-    if group == "sp":
-        if n % 2:
-            raise UsageError("sp requires even dimension")
-        roots = sp_diag_roots(n // 2)
-    else:
-        # SL_n has gl_n's roots: sl differs only in its trace-free label.
-        roots = gl_roots(n)
-    verdict = orbit_verdict(v, roots)
+    verdict = orbit_verdict(v, _roots(group, n, "sp requires even dimension"))
     beta = verdict.beta
     if beta is not None and group == "sl":
         # Every weight has trace t, so tr beta = t; the sl label drops (t/n)(1, ..., 1).
@@ -295,12 +298,12 @@ def table2(fixtures, row, fmt):
                        % (fixtures, type(exc).__name__, exc))
     if row is not None and not reports:
         raise UsageError("no row matches %r" % row)
-    # A non-nice row has no diagonal mm_sp, derivation or beta: null.
+    # A non-nice row has no diagonal mm, derivation or beta: null.
     rows = [{
         "row": r.label,
         "passed": r.passed,
         "beta_norm_sq": frac_str(r.report.beta_norm_sq) if r.report.nice else None,
-        "mm_sp": vec_strs(r.report.mm_sp.diag()) if r.report.nice else None,
+        "mm_sp": vec_strs(r.report.mm.diag()) if r.report.nice else None,
         "derivation": vec_strs(r.report.derivation.diag()) if r.report.nice else None,
         "derivation_multiple": (frac_str(r.report.multiple)
                                 if r.report.multiple is not None else None),
@@ -319,8 +322,8 @@ def table2(fixtures, row, fmt):
         sys.exit(1)
 
 
-def minimize(path):
-    """Minimal compatible metric for a symplectic nilpotent bracket."""
+def minimize(path, group):
+    """Minimal metric for a nilpotent bracket (a nilsoliton under gl)."""
     from .coeffs import RadicandError
     from .nilgeom import (LieBracket, NotDistinguishedError, ValidationError,
                           find_minimal_metric, validate)
@@ -335,10 +338,9 @@ def minimize(path):
         emit_json({"command": "minimize", "outcome": "invalid_bracket",
                    "violation": exc.kind, "witness": list(exc.witness)})
         sys.exit(1)
-    if mu.n % 2:
-        raise UsageError("minimize needs an even-dimensional bracket")
+    roots = _roots(group, mu.n, "minimize needs an even-dimensional bracket")
     try:
-        res = find_minimal_metric(mu)
+        res = find_minimal_metric(mu, roots)
     except NotDistinguishedError as exc:
         payload = {"command": "minimize", "outcome": exc.verdict.outcome}
         if exc.verdict.witness is not None:
@@ -431,6 +433,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = command(minimize, "minimize")
     sub.add_argument("--input", dest="path", type=_existing_file, required=True,
                      metavar="FILE", help='bracket terms: a list, or {"n": N, "terms": [...]}')
+    sub.add_argument("--group", choices=("gl", "sp"), default="sp",
+                     help="acting group (default: %(default)s)")
     return parser
 
 

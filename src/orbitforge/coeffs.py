@@ -174,10 +174,10 @@ class Coeff:
     __radd__ = __add__
 
     def __eq__(self, other):
-        try:
-            other = Coeff(other)
-        except (TypeError, ValueError, ZeroDivisionError):
+        # Numbers only: a string equal to a Coeff would have to hash like it.
+        if not isinstance(other, (Coeff, int, Fraction)):
             return NotImplemented
+        other = Coeff(other)
         return self.r == other.r and self.s == other.s
 
     def __hash__(self):

@@ -12,7 +12,7 @@ their span, whose basis is computed exactly and orthonormalized in binary64.
 Everything runs on plain Python floats: the search space has at most n - 1
 dimensions, and a small Cholesky factorization solves each Newton system.
 ``_newton`` runs on the class masses (``reps.weight_masses``), and
-``solve_moment_equation`` checks beta on them first.
+``solve_moment_equation(w, beta, roots)`` checks beta on them first.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from math import exp, log
 from typing import NamedTuple
 
 from . import _exact
+from .lattice import RootSystem, projection
 from .ratgeom import PointSet, Vec, interior_certificate, mcc
 from .reps import RepVector, weight_classes, weight_masses
 
@@ -75,21 +76,21 @@ class NewtonResult(NamedTuple):
     subspace: tuple          # orthonormal rows spanning the non-degenerate directions
 
 
-def solve_moment_equation(w: RepVector, beta, subgroup: str = "gl") -> NewtonResult:
+def solve_moment_equation(w: RepVector, beta, roots: RootSystem) -> NewtonResult:
     """Newton solve of mm_a(exp(X).w) = beta over the diagonal subalgebra of
-    the acting group, "gl" or "sp" (whose weights are sp-projected).
+    the group of ``roots`` (whose weights are sp-projected for sp).
 
     ``beta`` must be mcc of the (projected) support and lie in the relative
-    interior of its hull; otherwise no solution exists and a ValueError is
-    raised.  Weights, masses and the search space are prepared exactly; only
-    the Newton iteration itself runs in binary64.
+    interior of its hull, and w must have the roots' dimension; otherwise a
+    ValueError is raised.  Weights, masses and the search space are prepared
+    exactly; only the Newton iteration itself runs in binary64.
     """
-    if subgroup not in ("gl", "sp"):
-        raise ValueError("unknown subgroup %r" % subgroup)
     n = w.backend.n
+    if roots.n != n:
+        raise ValueError("vector and root system dimensions differ")
     beta = Vec(beta)
-    m = n // 2 if subgroup == "sp" else None
-    masses = weight_masses(w.backend, weight_classes(w.backend, dict(w.sorted_terms()), m))
+    masses = weight_masses(w.backend, weight_classes(w.backend, dict(w.sorted_terms()),
+                                                     projection(roots)))
     sup = PointSet(masses)
     if mcc(sup) != beta:
         raise ValueError("beta is not the mcc of the support")

@@ -56,6 +56,11 @@ class RootSystem:
         return tuple(v) in self.roots
 
 
+def projection(roots: RootSystem) -> int | None:
+    """m for the sp(2m) weight projection of the roots' group, or None for gl."""
+    return roots.n // 2 if roots.subgroup == "sp" else None
+
+
 def _root_spaces(n: int, subgroup: str):
     """(root, generator) pairs spanning the root spaces, from matrix positions.
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import _exact, ratgeom
-from .lattice import RootSystem
+from .lattice import RootSystem, projection
 from .ratgeom import PointSet, Vec, interior_certificate, mcc
 from .reps import RepVector, moment_parts, weight_classes
 
@@ -34,11 +34,6 @@ class Verdict(NamedTuple):
     beta: Optional[Vec] = None
     certificate: Optional[tuple] = None
     witness: Optional[NiceWitness] = None
-
-
-def _projection(roots: RootSystem) -> Optional[int]:
-    """m for the sp(2m) weight projection, or None for gl."""
-    return roots.n // 2 if roots.subgroup == "sp" else None
 
 
 def _root_pairs(weights, roots: RootSystem):
@@ -68,7 +63,7 @@ def is_nice(weights: PointSet, backend, roots: RootSystem):
     """
     if backend.n != roots.n:
         raise ValueError("backend and root system dimensions differ")
-    table = weight_classes(backend, dict.fromkeys(backend.all_indices()), _projection(roots))
+    table = weight_classes(backend, dict.fromkeys(backend.all_indices()), projection(roots))
     for w in weights:
         if w not in table:
             raise ValueError("weight %r is not a weight of this representation" % (w,))
@@ -128,7 +123,7 @@ def orbit_verdict(v: RepVector, roots: RootSystem) -> Verdict:
     Raises ValueError for the zero vector or when v and the roots differ in
     dimension.
     """
-    return _orbit_verdict(weight_classes(v.backend, dict(v.sorted_terms()), _projection(roots)),
+    return _orbit_verdict(weight_classes(v.backend, dict(v.sorted_terms()), projection(roots)),
                           v.backend, roots)
 
 

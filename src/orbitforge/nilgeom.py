@@ -1,15 +1,13 @@
-"""Nilpotent Lie brackets and minimal compatible metrics.
+"""Nilpotent Lie brackets and minimal metrics.
 
 A bracket on R^n is an element of the bracket representation; this module
-validates the Lie axioms and decides existence of a minimal metric compatible
-with the antidiagonal symplectic structure on R^{2m}: such a metric exists
-exactly when the Sp(2m,R)-orbit of the bracket is distinguished, and the
-witnessing critical bracket satisfies
-
-    mm_sp(mu) = -|beta|^2 Id + D
-
-with D a derivation.  The shipped table of six-dimensional two-step algebras
-is re-verified row by row from these primitives.
+validates the Lie axioms and decides existence of a minimal metric for the
+group G of a ``lattice.RootSystem``: one exists exactly when the G-orbit of
+the bracket is distinguished, and the critical bracket satisfies
+mm_G(mu) = -|beta|^2 Id + D with D a derivation.  Under GL_n that makes it
+a nilsoliton (4 Ric = |mu|^2 mm); under Sp(2m,R), the default, a metric
+compatible with the antidiagonal symplectic form.  The shipped table of
+six-dimensional two-step algebras is re-verified row by row under Sp(6,R).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import NamedTuple, Optional
 from . import _exact
 from .coeffs import (Coeff, IrrationalError, coprime_base, fold_radicands, json_integer,
                      json_rational)
-from .lattice import sp_diag_roots, sp_sign
+from .lattice import RootSystem, projection, sp_diag_roots, sp_sign
 from .nicecrit import Verdict, _orbit_verdict
 from .ratgeom import Vec, mcc
 from .reps import (RepVector, SymMatrix, apply_terms, moment_map_restricted,
@@ -155,44 +153,50 @@ def validate(mu: LieBracket, two_step: bool = False) -> None:
 
 
 class MinimalReport(NamedTuple):
-    nice: bool                       # mm_sp diagonal in this basis
-    critical: bool                   # mm_sp equals mcc of projected support
+    nice: bool                       # mm diagonal in this basis
+    critical: bool                   # mm equals mcc of the (projected) support
     beta: Optional[Vec]
     beta_norm_sq: Optional[Fraction]
-    derivation: Optional[SymMatrix]  # D = mm_sp + |beta|^2 Id
+    derivation: Optional[SymMatrix]  # D = mm + |beta|^2 Id
     is_derivation: Optional[bool]
     multiple: Optional[Fraction]     # D = multiple * reference, if supplied
-    mm_sp: Optional[SymMatrix]       # None when an entry is irrational
+    mm: Optional[SymMatrix]          # the group's moment map; None when an entry is irrational
 
 
-def verify_minimal(mu: LieBracket, reference_derivation=None) -> MinimalReport:
-    """Check that the canonical metric is minimal for (R^2m, mu, omega).
+def _sp_roots(n: int) -> RootSystem:
+    """The roots of the default group, Sp(n,R) for the antidiagonal form."""
+    if n % 2:
+        raise ValueError("the default group Sp(n) needs even dimension")
+    return sp_diag_roots(n // 2)
 
-    Computes mm_sp(mu), compares with mcc of the projected support, and
-    reports D = mm_sp + |beta|^2 Id together with the exact derivation check.
-    ``reference_derivation`` (diagonal entries) is compared up to a positive
-    rational multiple.  Raises ValueError for odd dimension, the zero
-    bracket, or a reference without exactly n entries.
+
+def verify_minimal(mu: LieBracket, roots: RootSystem | None = None,
+                   reference_derivation=None) -> MinimalReport:
+    """Check that the canonical metric is minimal for mu under the group of
+    ``roots`` (default Sp(n,R)): compares its moment map mm(mu) with mcc of
+    the (projected) support, and reports D = mm + |beta|^2 Id with the exact
+    derivation check.  ``reference_derivation`` (diagonal entries) is
+    compared up to a positive rational multiple.  Raises ValueError for the
+    zero bracket, roots of another dimension (an odd n by default), or a
+    reference without exactly n entries.
     """
-    m = mu.n // 2
-    if 2 * m != mu.n:
-        raise ValueError("symplectic verification needs even dimension")
+    roots = _sp_roots(mu.n) if roots is None else roots
     if reference_derivation is not None:
         ref = [Fraction(x) for x in reference_derivation]
         if len(ref) != mu.n:
             raise ValueError("the reference derivation needs %d entries, not %d"
                              % (mu.n, len(ref)))
     try:
-        mm_sp = moment_map_restricted(mu.vector, "sp", m)
+        mm = moment_map_restricted(mu.vector, roots)
     except IrrationalError:
         # Diagonal entries are rational, so an irrational one is off-diagonal.
-        mm_sp = None
-    if mm_sp is None or not mm_sp.is_diagonal():
-        return MinimalReport(False, False, None, None, None, None, None, mm_sp)
-    beta = mcc(support_projected(mu.vector, m))
-    critical = mm_sp.diag() == beta
+        mm = None
+    if mm is None or not mm.is_diagonal():
+        return MinimalReport(False, False, None, None, None, None, None, mm)
+    beta = mcc(support_projected(mu.vector, projection(roots)))
+    critical = mm.diag() == beta
     bns = beta.norm_sq()
-    d = mm_sp + SymMatrix.diagonal([bns] * mu.n)
+    d = mm + SymMatrix.diagonal([bns] * mu.n)
     # D is diagonal here, so pi(D) mu scales each term by <weight, diag D>.
     diag = [(i, i, x) for i, x in enumerate(d.diag()) if x]
     is_der = not apply_terms(mu.vector.backend, diag, mu.vector.terms)
@@ -204,7 +208,7 @@ def verify_minimal(mu: LieBracket, reference_derivation=None) -> MinimalReport:
             ratio = ratios.pop()
             if ratio > 0:
                 multiple = ratio
-    return MinimalReport(True, critical, beta, bns, d, is_der, multiple, mm_sp)
+    return MinimalReport(True, critical, beta, bns, d, is_der, multiple, mm)
 
 
 class NotDistinguishedError(Exception):
@@ -221,33 +225,33 @@ class MinimalMetricResult(NamedTuple):
     beta: Vec
 
 
-def find_minimal_metric(mu: LieBracket) -> MinimalMetricResult:
-    """Diagonal change of basis carrying mu to a minimal-metric critical point.
+def find_minimal_metric(mu: LieBracket, roots: RootSystem | None = None) -> MinimalMetricResult:
+    """Diagonal change of basis carrying mu to a minimal-metric critical
+    point for the group of ``roots`` (default Sp(n,R); a nilsoliton for GL_n).
 
     Requires ``nicecrit.orbit_verdict`` to find the orbit distinguished: mcc
-    of the sp-projected weights is interior, and their span is nice or mm_sp
+    of the (sp-projected) weights is interior, and their span is nice or mm
     stays diagonal along the diagonal torus orbit of mu.  Raises
     NotDistinguishedError (carrying the verdict of the span test, so
-    "not_nice" when only the torus test passed) otherwise, and ValueError
-    for odd dimension or the zero bracket.  Returns the Newton solution X of
-    mm_sp(exp(X).mu) = beta together with an exact critical bracket, obtained
-    by redistributing the weight-class masses onto the verdict's interior
-    certificate; that scales each weight part by one factor, so the torus
-    test's sums stay zero and mm_sp of the bracket is diag(beta).  Where the
-    projected weights are affinely independent the certificate is the only
-    critical mass distribution and the bracket is exp(X).mu normalized; on
-    dependent weights it can lie outside mu's orbit.
+    "not_nice" when only the torus test passed) otherwise, and ValueError for
+    the zero bracket or roots of another dimension (an odd n by default).
+    Returns the Newton solution X of mm(exp(X).mu) = beta together with an
+    exact critical bracket, obtained by redistributing the weight-class
+    masses onto the verdict's interior certificate; that scales each weight
+    part by one factor, so the torus test's sums stay zero and mm of the
+    bracket is diag(beta).  Where the (projected) weights are affinely
+    independent the certificate is the only critical mass distribution and
+    the bracket is exp(X).mu normalized; otherwise it can lie outside mu's
+    orbit.
     """
     from .flow import _newton
 
-    m = mu.n // 2
-    if 2 * m != mu.n:
-        raise ValueError("a minimal compatible metric needs even dimension")
+    roots = _sp_roots(mu.n) if roots is None else roots
     if mu.vector.is_zero():
         raise ValueError("the zero bracket has no minimal metric")
     backend = mu.vector.backend
-    parts = weight_classes(backend, dict(mu.vector.sorted_terms()), m)
-    verdict = _orbit_verdict(parts, backend, sp_diag_roots(m))
+    parts = weight_classes(backend, dict(mu.vector.sorted_terms()), projection(roots))
+    verdict = _orbit_verdict(parts, backend, roots)
     if verdict.outcome != "distinguished":
         raise NotDistinguishedError(verdict)
     masses = weight_masses(backend, parts)
@@ -358,7 +362,7 @@ def _verify_instance(row: dict, inst: dict) -> TableRowReport:
         mismatches.append(("nice", False, True))
     else:
         if not rep.critical:
-            mismatches.append(("critical", rep.mm_sp.diag(), "mcc"))
+            mismatches.append(("critical", rep.mm.diag(), "mcc"))
         if rep.beta_norm_sq != expected_bns:
             mismatches.append(("beta_norm_sq", rep.beta_norm_sq, expected_bns))
         if not rep.is_derivation:

@@ -35,7 +35,7 @@ from math import factorial
 from typing import Iterable, NamedTuple, Optional
 
 from .coeffs import Coeff, IrrationalError
-from .lattice import project_to_sp_diag, sp_sign
+from .lattice import RootSystem, gl_roots, project_to_sp_diag, projection, sp_sign
 from .ratgeom import PointSet, Vec
 
 
@@ -276,8 +276,8 @@ def support(v: RepVector) -> PointSet:
     return PointSet(weight_classes(v.backend, dict(v.sorted_terms())))
 
 
-def support_projected(v: RepVector, m: int) -> PointSet:
-    """Distinct sp(2m)-weights: the gl weights projected to the sp diagonal."""
+def support_projected(v: RepVector, m: Optional[int]) -> PointSet:
+    """Distinct weights, projected to the sp(2m) diagonal when m is given."""
     return PointSet(weight_classes(v.backend, dict(v.sorted_terms()), m))
 
 
@@ -328,7 +328,7 @@ def moment_map(v: RepVector) -> SymMatrix:
 
     Raises IrrationalError when an entry is irrational (mixed radicands).
     """
-    return moment_map_restricted(v, "gl")
+    return moment_map_restricted(v, gl_roots(v.backend.n))
 
 
 def project_sym_sp(mat: SymMatrix, m: int) -> SymMatrix:
@@ -345,21 +345,18 @@ def project_sym_sp(mat: SymMatrix, m: int) -> SymMatrix:
                        for b in range(n)] for a in range(n)])
 
 
-def moment_map_restricted(v: RepVector, subgroup: str,
-                          m: Optional[int] = None) -> SymMatrix:
-    """mm for the acting group: mm(v) for "gl", and for "sp" its projection
-    onto the symmetric part of sp(2m,R), given m with backend dimension 2m.
-    Raises IrrationalError only when the projection has an irrational entry.
+def moment_map_restricted(v: RepVector, roots: RootSystem) -> SymMatrix:
+    """mm for the group of ``roots``: mm(v) for gl, its projection onto the
+    symmetric part of sp(2m,R) for sp.  Raises ValueError when v and the roots
+    differ in dimension, IrrationalError only for an irrational entry.
     """
-    if subgroup == "gl":
-        project = SymMatrix
-    elif subgroup == "sp":
-        if m is None or 2 * m != v.backend.n:
-            raise ValueError("sp projection needs m with n = 2m")
-        project = lambda p: project_sym_sp(SymMatrix(p), m)
-    else:
-        raise ValueError("unknown subgroup %r" % subgroup)
-    parts = {s: project(p) for s, p in moment_parts(v.backend, v.terms, v.norm_sq()).items()}
+    n, m = v.backend.n, projection(roots)
+    if roots.n != n:
+        raise ValueError("vector and root system dimensions differ")
+    # pi(E_ab) kills a constant form, which leaves no part: mm = 0.
+    parts = {1: [[0] * n for _ in range(n)], **moment_parts(v.backend, v.terms, v.norm_sq())}
+    parts = {s: SymMatrix(p) if m is None else project_sym_sp(SymMatrix(p), m)
+             for s, p in parts.items()}
     for s, part in parts.items():
         if s != 1 and part.norm_sq() != 0:
             raise IrrationalError("moment-map entries with a sqrt(%d) part" % s)

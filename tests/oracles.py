@@ -3,7 +3,8 @@
 None of these runs on a CLI or library path; each is an independent route to
 a quantity the package computes another way:
 
-* ``ricci``: 4 Ric = |mu|^2 mm, against the closed-form moment map;
+* ``ricci``: 4 Ric = |mu|^2 mm, against the closed-form moment map, and
+  ``nilsoliton_constant``, the c of Ric = c Id + D read off ``ricci``;
 * ``gram`` and ``positive_solution``: the Gram criterion, against the
   relative-interior test;
 * ``sym_sp_basis``: a nullspace basis of sym(2m) intersect sp(2m), against
@@ -107,6 +108,21 @@ def ricci(mu) -> SymMatrix:
                         total = total + Fraction(1, 4) * ca * cb
             entries[a][b] = entries[b][a] = rational(total)
     return SymMatrix(entries)
+
+
+def nilsoliton_constant(mu):
+    """c with Ric = c Id + D, D a diagonal derivation, or None if there is none.
+
+    A diagonal D is a derivation iff D mu(e_i, e_j) = mu(D e_i, e_j) +
+    mu(e_i, D e_j), that is d_k = d_i + d_j on every term mu_ij^k.  With
+    d = diag(Ric) - c that fixes c = r_i + r_j - r_k, one value for all terms.
+    """
+    ric = ricci(mu)
+    if not ric.is_diagonal():
+        return None
+    r = ric.diag()
+    constants = {r[i] + r[j] - r[k] for i, j, k in mu.vector.terms}
+    return constants.pop() if len(constants) == 1 else None
 
 
 def gram(weights: PointSet) -> SymMatrix:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import log
 
 from orbitforge.flow import solve_moment_equation
-from orbitforge.lattice import gl_roots
+from orbitforge.lattice import gl_roots, sp_diag_roots
 from orbitforge.nicecrit import is_nice
 from orbitforge.nilgeom import (LieBracket, bracket_from_fixture_terms,
                                 load_table2_fixture, run_table2)
@@ -65,14 +65,14 @@ def test_criterion_3_worked_example():
     assert tuple(x) == (Fraction(1, 2), Fraction(1, 2)) and lam == 1
     h = Fraction(1, 2)
     beta = Vec([-h, -h, 0, 0, h, h])
-    res = solve_moment_equation(mu, beta, subgroup="sp")
+    res = solve_moment_equation(mu, beta, sp_diag_roots(3))
     assert res.residual <= NEWTON_TOL
     published = [log(2), 0.0, log(2), -log(2), 0.0, -log(2)]
     gap = project_to_subspace(res, res.x) - project_to_subspace(res, published)
     assert max(abs(t) for t in gap) <= NEWTON_TOL if len(gap) else True
     rescaled = group_scale([2, 1, 2, h, 1, h], mu)
     assert rescaled == mu.scale(h)
-    mm_sp = moment_map_restricted(rescaled, "sp", 3)
+    mm_sp = moment_map_restricted(rescaled, sp_diag_roots(3))
     assert mm_sp.is_diagonal() and mm_sp.diag() == beta
 
 
@@ -174,7 +174,7 @@ def test_criterion_8_newton_on_all_table_cases():
                 continue
             items = [(tuple(int(-x) for x in w), 1) for w in fam.weights]
             v = RepVector(backend, items)
-            res = solve_moment_equation(v, stratum.beta)
+            res = solve_moment_equation(v, stratum.beta, gl_roots(3))
             assert res.residual <= NEWTON_TOL, (stratum.beta, res.residual)
             assert res.iterations <= 50 and res.hessian_psd_ok
             checked += 1
@@ -186,6 +186,6 @@ def test_criterion_8_newton_on_all_table_cases():
             beta = mcc(support_projected(mu.vector, 3))
             start = RepVector(mu.vector.backend,
                               [(idx, 1) for idx in mu.vector.terms])
-            res = solve_moment_equation(start, beta, subgroup="sp")
+            res = solve_moment_equation(start, beta, sp_diag_roots(3))
             assert res.residual <= NEWTON_TOL, (inst["label"], res.residual)
             assert res.iterations <= 50 and res.hessian_psd_ok

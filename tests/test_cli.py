@@ -15,7 +15,11 @@ import pytest
 import orbitforge
 from orbitforge import nilgeom
 from orbitforge.cli import CliError, main
+from orbitforge.coeffs import Coeff
+from orbitforge.ratgeom import Vec
 from orbitforge.reps import support_projected
+
+from oracles import nilsoliton_constant
 
 
 class _Runner:
@@ -372,6 +376,56 @@ def test_minimize_odd_dimension_is_a_usage_error(runner, tmp_path):
     assert res.exit_code == 2
     assert "minimize needs an even-dimensional bracket" in res.stderr
     assert "Traceback" not in res.output and res.stdout == ""
+
+
+H3_UNDER_GL = {
+    "beta": ["-1/1", "-1/1", "1/1"], "beta_norm_sq": "3/1", "command": "minimize",
+    "critical_bracket": [{"coeff": {"sign": 1, "sq": "1/2"}, "i": 1, "j": 2, "k": 3}],
+    "multipliers": ["1", "1", "1"], "outcome": "distinguished", "residual": "0",
+    "x": ["0", "0", "0"],
+}
+
+
+def test_minimize_under_gl_accepts_the_odd_heisenberg_algebra(runner, tmp_path):
+    # h3, [e1, e2] = e3, has no symplectic form, but GL_3 needs none.
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps([{"i": 1, "j": 2, "k": 3, "coeff": "1"}]))
+    res = _invoke(runner, ["minimize", "--input", str(path), "--group", "gl"])
+    assert res.exit_code == 0 and res.stderr == ""
+    assert res.stdout == json.dumps(H3_UNDER_GL, sort_keys=True, separators=(",", ":")) + "\n"
+    res = runner.invoke(main, ["minimize", "--input", str(path), "--group", "sp"])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert "minimize needs an even-dimensional bracket" in res.stderr
+
+
+def _printed_bracket(terms):
+    return nilgeom.LieBracket.from_terms(6, [
+        ((t["i"] - 1, t["j"] - 1, t["k"] - 1),
+         Coeff.from_square(Fraction(t["coeff"]["sq"]), t["coeff"]["sign"])) for t in terms])
+
+
+def test_minimize_under_gl_prints_nilsolitons_for_the_shipped_instances(runner, tmp_path):
+    # sp stays the default; under gl each printed critical bracket is a
+    # nilsoliton, Ric = c Id + D by the Ricci oracle, with c = -|beta|^2 / 4.
+    path = tmp_path / "mu.json"
+    outcomes = {}
+    for inst, terms in _shipped_instances():
+        path.write_text(json.dumps({"n": 6, "terms": terms}))
+        sp = _invoke(runner, ["minimize", "--input", str(path)]).output
+        assert _invoke(runner, ["minimize", "--input", str(path), "--group", "sp"]).output == sp
+        found = json.loads(_invoke(runner, ["minimize", "--input", str(path),
+                                            "--group", "gl"]).output)
+        outcomes[inst["label"]] = found["outcome"]
+        if found["outcome"] == "not_nice":
+            assert found["witness"] is not None
+            continue
+        mu = _printed_bracket(found["critical_bracket"])
+        beta = Vec(Fraction(x) for x in found["beta"])
+        assert mu.vector.norm_sq() == 1 and float(found["residual"]) <= 1e-12
+        assert nilsoliton_constant(mu) == -beta.norm_sq() / 4, inst["label"]
+    assert [label for label, outcome in outcomes.items() if outcome != "distinguished"] == [
+        "18.(b_t) t=2", "18.(b_t) t=3", "18.(b_t) t=1/2", "18.(c)"]
+    assert len(outcomes) == 15
 
 
 def test_classify_shape(runner):

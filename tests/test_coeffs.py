@@ -107,6 +107,10 @@ def test_rational_coeffs_hash_like_their_values_and_others_compare_unequal():
     # Operands that are no CoeffLike are unequal, not errors.
     for other in (None, "abc", "1/0", [1], object()):
         assert Coeff(1) != other and not Coeff(1) == other
+    # Nor is a string of the same value: equal operands must hash alike.
+    for text in ("1", "2", "-1/3", "0"):
+        assert Coeff(text) != text and not Coeff(text) == text
+    assert {Coeff(2): "two"}.get("2") is None and {"2": "two"}.get(Coeff(2)) is None
 
 
 def test_json_rationals_are_strings_or_integers():

@@ -52,7 +52,7 @@ def test_single_weight_supports_are_distinguished(kind, group, data):
     assert verdict.certificate == (1,)
     assert verdict.beta == alpha
     # The Newton search space is empty: X = 0 already solves the equation.
-    res = solve_moment_equation(v, alpha, subgroup=group)
+    res = solve_moment_equation(v, alpha, roots)
     assert res.x == (0.0,) * n and res.residual == 0.0 and res.iterations == 0
     assert res.subspace == () and project_to_subspace(res, [1] * n) == (0,) * n
     if kind == "bracket" and group == "sp":
@@ -87,6 +87,6 @@ def test_odd_dimension_has_no_symplectic_answers(data):
     with pytest.raises(ValueError):
         sym_derivation_dim(mu)
     with pytest.raises(ValueError):
-        moment_map_restricted(v, "sp", n // 2)
+        moment_map_restricted(v, sp_diag_roots(n // 2))
     with pytest.raises(ValueError, match="even dimension"):
         find_minimal_metric(mu)

@@ -11,7 +11,7 @@ import pytest
 
 import orbitforge
 from orbitforge.flow import solve_moment_equation
-from orbitforge.lattice import gl_roots
+from orbitforge.lattice import gl_roots, sp_diag_roots
 from orbitforge.nicecrit import is_distinguished
 from orbitforge.ratgeom import Vec, interior_certificate
 from orbitforge.reps import RepVector, moment_map, support
@@ -30,7 +30,7 @@ def test_newton_on_critical_bracket_stays_put():
     mu = _worked_bracket().scale(Fraction(1, 2))
     h = Fraction(1, 2)
     beta = Vec([-h, -h, 0, 0, h, h])
-    res = solve_moment_equation(mu, beta, subgroup="sp")
+    res = solve_moment_equation(mu, beta, sp_diag_roots(3))
     assert res.residual <= 1e-12
     assert res.hessian_psd_ok
     # mu/2 is already critical: the solution vanishes in the search space.
@@ -44,7 +44,7 @@ def test_newton_on_critical_bracket_stays_put():
 def test_newton_reaches_quartic_critical_point():
     v = RepVector.poly(3, 4, [((1, 3, 0), 1), ((2, 0, 2), 1)])
     beta = Vec([Fraction(-11, 7), Fraction(-9, 7), Fraction(-8, 7)])
-    res = solve_moment_equation(v, beta)
+    res = solve_moment_equation(v, beta, gl_roots(3))
     assert res.residual <= 1e-12 and res.iterations <= 50
     moved = scale_by_diag(res.x, v.backend, v.terms)
     nsq = float_norm_sq(v.backend, moved)
@@ -57,7 +57,7 @@ def test_newton_reaches_quartic_critical_point():
 def test_newton_rejects_wrong_beta():
     v = RepVector.poly(3, 4, [((1, 3, 0), 1), ((2, 0, 2), 1)])
     with pytest.raises(ValueError):
-        solve_moment_equation(v, Vec([-2, -1, -1]))
+        solve_moment_equation(v, Vec([-2, -1, -1]), gl_roots(3))
 
 
 def _random_even_element(rng):
@@ -123,7 +123,7 @@ def test_newton_takes_full_steps_below_float_noise():
     # form used to stall there at residual 1e-8.
     v = RepVector.poly(3, 6, [((5, 0, 1), Fraction(1, 3)), ((2, 4, 0), Fraction(3, 4)),
                               ((0, 4, 2), 2), ((1, 2, 3), Fraction(-5, 4))])
-    res = solve_moment_equation(v, (-2, -2, -2))
+    res = solve_moment_equation(v, (-2, -2, -2), gl_roots(3))
     assert res.residual <= 1e-12
 
 
@@ -143,7 +143,7 @@ def test_newton_converges_on_random_distinguished_forms():
         verdict = is_distinguished(support(v), v.backend, gl_roots(3))
         if verdict.outcome != "distinguished":
             continue
-        res = solve_moment_equation(v, verdict.beta)
+        res = solve_moment_equation(v, verdict.beta, gl_roots(3))
         assert res.residual <= 1e-12 and res.hessian_psd_ok, (v, res)
         # The search space is an orthonormal basis of the weight differences.
         rows = res.subspace

@@ -7,8 +7,8 @@ from itertools import permutations
 import pytest
 
 from orbitforge import _exact, lattice
-from orbitforge.lattice import gl_roots, project_to_sp_diag, sp_diag_roots
-from orbitforge.nicecrit import (_projection, _root_pairs, _torus_nice, critical_coefficients,
+from orbitforge.lattice import gl_roots, project_to_sp_diag, projection, sp_diag_roots
+from orbitforge.nicecrit import (_root_pairs, _torus_nice, critical_coefficients,
                                  is_distinguished, is_nice, orbit_verdict)
 from orbitforge.nilgeom import bracket_from_fixture_terms, load_table2_fixture
 from orbitforge.ratgeom import PointSet, Vec, interior_certificate, mcc
@@ -105,7 +105,7 @@ def test_weights_differ_by_a_root_exactly_where_a_generator_image_links_them(bac
     # of V_q, so a span of weight spaces is nice iff no two weights differ by
     # a root.
     weights = PointSet(weight_classes(backend, dict.fromkeys(backend.all_indices()),
-                                      _projection(roots)))
+                                      projection(roots)))
     pairs = {(p, q) for p, q, _, _ in _root_pairs(weights, roots)}
     assert pairs and pairs == image_pairs(backend, roots)
 

@@ -8,7 +8,7 @@ import pytest
 
 from orbitforge import ratgeom, reps
 from orbitforge.coeffs import Coeff, IrrationalError
-from orbitforge.lattice import sp_diag_roots
+from orbitforge.lattice import gl_roots, sp_diag_roots
 from orbitforge.nicecrit import _torus_nice, is_distinguished, orbit_verdict
 from orbitforge.nilgeom import (LieBracket, NotDistinguishedError,
                                 ValidationError,
@@ -19,7 +19,7 @@ from orbitforge.ratgeom import Vec
 from orbitforge.reps import (RepVector, SymMatrix, moment_map, moment_map_restricted,
                              support_projected, weight_classes)
 
-from oracles import group_scale, ricci, sym_scale, torus_diagonal
+from oracles import group_scale, nilsoliton_constant, ricci, sym_scale, torus_diagonal
 
 
 def _double_heisenberg() -> LieBracket:
@@ -117,7 +117,7 @@ def test_find_minimal_metric_reaches_beta_on_table_supports():
                 continue
             assert res.residual <= 1e-12
             solved += 1
-            mm_sp = moment_map_restricted(res.critical_bracket, "sp", 3)
+            mm_sp = moment_map_restricted(res.critical_bracket, sp_diag_roots(3))
             assert mm_sp.is_diagonal() and mm_sp.diag() == res.beta, inst["label"]
     assert solved == 11
 
@@ -132,7 +132,7 @@ def test_find_minimal_metric_solves_every_shipped_instance():
             mu = bracket_from_fixture_terms(inst["terms"])
             res = find_minimal_metric(mu)
             assert res.verdict.outcome == "distinguished" and res.residual <= 1e-12
-            mm_sp = moment_map_restricted(res.critical_bracket, "sp", 3)
+            mm_sp = moment_map_restricted(res.critical_bracket, sp_diag_roots(3))
             assert mm_sp.is_diagonal() and mm_sp.diag() == res.beta, inst["label"]
             # check's verdict, with a certificate: positive masses on the
             # weights, summing to 1, with barycentre beta.
@@ -143,6 +143,67 @@ def test_find_minimal_metric_solves_every_shipped_instance():
             assert sum((c * w for c, w in zip(cert, weights)), Vec([0] * 6)) == res.beta
             labels.append(inst["label"])
     assert len(labels) == 15
+
+
+# Under GL_6 the spans of 18.(b_t) and 18.(c) are not nice, and mm leaves the
+# diagonal along their torus orbits.  Each row's witness (alpha_i, alpha_j, root):
+GL_NOT_NICE = {
+    "18.(b_t)": ((-1, 0, -1, 0, 1, 0), (-1, 0, -1, 0, 0, 1), (0, 0, 0, 0, -1, 1)),
+    "18.(c)": ((-1, -1, 0, 1, 0, 0), (-1, -1, 0, 0, 1, 0), (0, 0, 0, -1, 1, 0)),
+}
+
+
+def test_find_minimal_metric_under_gl_finds_nilsolitons():
+    # A critical point of |mm|^2 under GL_n is a nilsoliton: Ric = c Id + D
+    # with D a derivation, checked through the Ricci oracle, not through the
+    # moment map the code uses.  4 Ric = |mu|^2 diag(beta) and |mu|^2 = 1 fix
+    # c = -|beta|^2 / 4.  Shipped coefficients and unit ones alike.
+    solved = []
+    for row in load_table2_fixture()["rows"]:
+        for inst in row["instances"]:
+            mu = bracket_from_fixture_terms(inst["terms"])
+            unit = LieBracket(RepVector(mu.vector.backend, [(idx, 1) for idx in mu.vector.terms]))
+            for start in (mu, unit):
+                if row["name"] in GL_NOT_NICE:
+                    with pytest.raises(NotDistinguishedError) as err:
+                        find_minimal_metric(start, gl_roots(6))
+                    assert err.value.verdict.outcome == "not_nice"
+                    assert err.value.verdict.witness == GL_NOT_NICE[row["name"]]
+                    assert not torus_diagonal(start.vector, gl_roots(6))
+                    continue
+                res = find_minimal_metric(start, gl_roots(6))
+                assert res.verdict.outcome == "distinguished" and res.residual <= 1e-12
+                critical = LieBracket(res.critical_bracket)
+                validate(critical, two_step=True)
+                assert critical.vector.norm_sq() == 1
+                assert ricci(critical) == SymMatrix.diagonal(res.beta * Fraction(1, 4))
+                assert nilsoliton_constant(critical) == -res.beta.norm_sq() / 4, inst["label"]
+                rep = verify_minimal(critical, gl_roots(6))
+                assert rep.critical and rep.is_derivation and rep.beta == res.beta
+                solved.append(inst["label"])
+    assert len(solved) == 22 and len(set(solved)) == 11
+
+
+def test_gl_minimal_metric_of_the_heisenberg_algebra():
+    # h3 is odd-dimensional: no default Sp(n), but GL_3 is fine.
+    h3 = LieBracket.from_terms(3, [((0, 1, 2), 1)])
+    with pytest.raises(ValueError, match="even dimension"):
+        find_minimal_metric(h3)
+    res = find_minimal_metric(h3, gl_roots(3))
+    assert res.beta == Vec([-1, -1, 1]) and res.x == (0.0, 0.0, 0.0)
+    assert res.critical_bracket == h3.vector.scale(Coeff.from_square(Fraction(1, 2)))
+    assert nilsoliton_constant(LieBracket(res.critical_bracket)) == Fraction(-3, 4)
+
+
+def test_gl_minimal_metric_of_the_five_dimensional_filiform_algebra():
+    # [e1,e2] = e3, [e1,e3] = e4, [e1,e4] = e5: its nilsoliton has squared
+    # structure constants in the ratio 3 : 4 : 3, reached here by Newton.
+    mu = LieBracket.from_terms(5, [((0, 1, 2), 1), ((0, 2, 3), 1), ((0, 3, 4), 1)])
+    res = find_minimal_metric(mu, gl_roots(5))
+    assert res.residual <= 1e-12 and any(abs(t) > 1e-3 for t in res.x)
+    squares = [c.square() for _, c in res.critical_bracket.sorted_terms()]
+    assert squares == [Fraction(3, 20), Fraction(1, 5), Fraction(3, 20)]
+    assert nilsoliton_constant(LieBracket(res.critical_bracket)) == -res.beta.norm_sq() / 4
 
 
 def test_find_minimal_metric_groups_once_and_runs_one_mcc_and_one_lp(monkeypatch):
@@ -180,12 +241,12 @@ def test_torus_fallback_only_where_the_span_is_not_nice():
     # The oracle: mm_sp(t.mu) is diagonal at sample rational torus elements.
     for ts in ([2, 3, 5], [Fraction(1, 2), 7, Fraction(2, 3)]):
         t_mu = group_scale(ts + [1 / Fraction(t) for t in reversed(ts)], mu.vector)
-        assert moment_map_restricted(t_mu, "sp", m).is_diagonal()
+        assert moment_map_restricted(t_mu, sp_diag_roots(m)).is_diagonal()
     # Unit coefficients on the same support leave the torus orbit's mm_sp
     # off the diagonal, and the span verdict stands.
     unit = RepVector(mu.vector.backend, [(idx, 1) for idx in mu.vector.terms])
     assert not torus_diagonal(unit, sp_diag_roots(m))
-    assert not moment_map_restricted(unit, "sp", m).is_diagonal()
+    assert not moment_map_restricted(unit, sp_diag_roots(m)).is_diagonal()
 
 
 def test_torus_fallback_keeps_not_nice_without_an_interior_beta():
@@ -276,9 +337,9 @@ def test_mixed_radicands_are_not_nice_not_a_crash():
     mu = LieBracket.from_terms(6, [((0, 1, 4), _sq(2)), ((0, 2, 4), _sq(3)),
                                    ((1, 2, 5), _sq(5))])
     rep = verify_minimal(mu)
-    assert not rep.nice and rep.mm_sp is None and rep.derivation is None
+    assert not rep.nice and rep.mm is None and rep.derivation is None
     for irrational in (lambda: moment_map(mu.vector), lambda: ricci(mu),
-                       lambda: moment_map_restricted(mu.vector, "sp", 3)):
+                       lambda: moment_map_restricted(mu.vector, sp_diag_roots(3))):
         with pytest.raises(IrrationalError):
             irrational()
 
@@ -289,7 +350,7 @@ def test_moment_map_radicand_parts_cancel_under_projection():
                               ((0, 5, 1), -1)])
     with pytest.raises(IrrationalError):
         moment_map(v)
-    assert moment_map_restricted(v, "sp", 3).is_diagonal()
+    assert moment_map_restricted(v, sp_diag_roots(3)).is_diagonal()
 
 
 @pytest.mark.parametrize("length", [3, 8])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitforge.coeffs import Coeff
-from orbitforge.lattice import gl_roots
+from orbitforge.lattice import gl_roots, sp_diag_roots
 from orbitforge.nilgeom import LieBracket
 from orbitforge.ratgeom import PointSet, Vec
 from orbitforge.reps import (BracketBackend, PolyBackend, RepVector, SymMatrix,
@@ -154,9 +154,20 @@ def test_moment_map_equivariance_under_permutation():
 def test_moment_map_trace_is_minus_degree():
     p = RepVector.poly(3, 4, [((1, 3, 0), 1), ((2, 0, 2), Fraction(2, 5))])
     assert sum(moment_map(p).diag()) == -4
-    # sl is gl's moment map with its trace part dropped: no group of its own.
-    with pytest.raises(ValueError, match="unknown subgroup"):
-        moment_map_restricted(p, "sl")
+    # The acting group is a root system of the vector's dimension.
+    assert moment_map_restricted(p, gl_roots(3)) == moment_map(p)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        moment_map_restricted(p, sp_diag_roots(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moment_map_of_a_constant_form_is_zero(n):
+    # Every pi(E_ab) kills a constant: no radicand-1 part, and mm = 0.
+    v = RepVector.poly(n, 0, [((0,) * n, 1)])
+    zero = SymMatrix([[0] * n for _ in range(n)])
+    assert moment_map(v) == zero
+    if n % 2 == 0:
+        assert moment_map_restricted(v, sp_diag_roots(n // 2)) == zero
 
 
 def test_sym_sp_basis_dimension():
@@ -192,7 +203,7 @@ def test_project_sym_sp_closed_form_matches_basis_projection():
 def test_restricted_moment_map_worked_bracket():
     mu = RepVector.bracket(6, [((0, 3, 5), 1), ((1, 2, 4), 1)])
     h = Fraction(1, 2)
-    assert moment_map_restricted(mu, "sp", 3) == \
+    assert moment_map_restricted(mu, sp_diag_roots(3)) == \
         SymMatrix.diagonal([-h, -h, 0, 0, h, h])
 
 
