@@ -172,16 +172,19 @@ def _print_strata(n, d, fmt, paper_signs, labels) -> None:
         "strata": [{"beta": vec_strs(b), "norm_sq": frac_str(Vec(b).norm_sq())}
                    for b in shown],
     }
-    if n != 3:
-        payload["warning"] = ("the pair formula is validated only for n = 3; "
-                              "treat this output as unverified")
+    # For n <= 2 no label is missing, and for n = 3 none is known to be
+    # (``ternary.stratifying_set``).
+    warning = ("unverified: the labels come from weight pairs, each label is a "
+               "nonempty stratum, and labels from larger subsets may be missing")
+    if n >= 4:
+        payload["warning"] = warning
     if fmt == "json":
         emit_json(payload)
     else:
         rows = [[*vec_strs(b), frac_str(Vec(b).norm_sq())] for b in shown]
         _render_table(rows, ["beta_%d" % i for i in range(n)] + ["norm_sq"], fmt)
-        if n != 3:
-            print("# unverified for n != 3", file=sys.stderr)
+        if n >= 4:
+            print("# " + warning, file=sys.stderr)
 
 
 def _write_strata_svg(fh, d: int, labels) -> None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib import resources
 from itertools import combinations
 from typing import NamedTuple, Optional
 
@@ -323,6 +322,8 @@ def load_table2_fixture(path: Optional[str] = None) -> dict:
     ``beta_norm_sq``, ``derivation_diag`` and ``dim_aut``.
     """
     if path is None:
+        from importlib import resources
+
         text = resources.files("orbitforge.data").joinpath("table2.json").read_text()
     else:
         with open(path) as fh:

@@ -31,6 +31,7 @@ identities are computed without any rounding.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial
 from typing import Iterable, NamedTuple, Optional
 
@@ -90,7 +91,7 @@ class SymMatrix:
 
 
 class PolyBackend(NamedTuple):
-    """R[x_1..x_n]_d under linear substitution."""
+    """R[x_1..x_n]_d under linear substitution; ``check_index`` returns (exponents, 1)."""
 
     n: int
     d: int
@@ -101,7 +102,7 @@ class PolyBackend(NamedTuple):
         if len(idx) != self.n or any(e < 0 for e in idx) or sum(idx) != self.d:
             raise ValueError("bad monomial exponents %r for poly(%d,%d)"
                              % (idx, self.n, self.d))
-        return idx
+        return idx, 1
 
     def weight(self, idx) -> Vec:
         return Vec(-e for e in idx)
@@ -112,14 +113,10 @@ class PolyBackend(NamedTuple):
             out *= factorial(e)
         return Fraction(out)
 
-    def all_indices(self):
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                yield prefix + (remaining,)
-                return
-            for e in range(remaining + 1):
-                yield from rec(prefix + (e,), remaining - e, slots - 1)
-        yield from rec((), self.d, self.n)
+    def all_indices(self) -> list:
+        """Every exponent tuple, in lexicographic order."""
+        return sorted(tuple(map(c.count, range(self.n)))
+                      for c in combinations_with_replacement(range(self.n), self.d))
 
     def act(self, a: int, b: int, idx) -> list:
         """pi(E_ab) x^idx = -x_b d/dx_a x^idx = -idx_a x^(idx - e_a + e_b)."""
@@ -132,7 +129,8 @@ class PolyBackend(NamedTuple):
 
 
 class BracketBackend(NamedTuple):
-    """Lambda^2(R^n)* (x) R^n under change of basis."""
+    """Lambda^2(R^n)* (x) R^n under change of basis; ``check_index`` returns
+    ((i, j, k), 1) for i < j and ((j, i, k), -1) for i > j, as mu_ji^k = -mu_ij^k."""
 
     n: int
     kind: str = "bracket"
@@ -142,7 +140,7 @@ class BracketBackend(NamedTuple):
         bad = not (0 <= i < self.n and 0 <= j < self.n and 0 <= k < self.n)
         if bad or i == j:
             raise ValueError("bad bracket index %r for bracket(%d)" % (idx, self.n))
-        return (i, j, k)
+        return ((i, j, k), 1) if i < j else ((j, i, k), -1)
 
     def weight(self, idx) -> Vec:
         i, j, k = idx
@@ -186,30 +184,15 @@ def _accumulate(terms: dict, idx, coeff) -> None:
         terms[idx] = new
 
 
-def _normalize_bracket_terms(backend: BracketBackend, items) -> dict:
-    out: dict = {}
-    for idx, coeff in items:
-        i, j, k = backend.check_index(idx)
-        if i > j:
-            i, j, coeff = j, i, -coeff
-        _accumulate(out, (i, j, k), coeff)
-    return out
-
-
 class RepVector:
     """Sparse element of a representation space with exact coefficients."""
 
     def __init__(self, backend, items):
         self.backend = backend
-        pairs = [(idx, Coeff(c)) for idx, c in
-                 (items.items() if isinstance(items, dict) else items)]
-        if backend.kind == "bracket":
-            terms = _normalize_bracket_terms(backend, pairs)
-        else:
-            terms = {}
-            for idx, coeff in pairs:
-                _accumulate(terms, backend.check_index(idx), coeff)
-        self.terms = terms
+        self.terms: dict = {}
+        for idx, c in (items.items() if isinstance(items, dict) else items):
+            idx, sign = backend.check_index(idx)
+            _accumulate(self.terms, idx, Coeff(c) if sign > 0 else -Coeff(c))
 
     @classmethod
     def poly(cls, n: int, d: int, items) -> "RepVector":

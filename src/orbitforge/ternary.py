@@ -20,7 +20,8 @@ from .reps import PolyBackend
 
 
 def _all_weights(n: int, d: int) -> list[Vec]:
-    return [PolyBackend(n, d).weight(idx) for idx in PolyBackend(n, d).all_indices()]
+    backend = PolyBackend(n, d)
+    return [backend.weight(idx) for idx in backend.all_indices()]
 
 
 def stratifying_set(d: int, n: int = 3) -> list[Vec]:
@@ -28,15 +29,19 @@ def stratifying_set(d: int, n: int = 3) -> list[Vec]:
 
     Pairs may degenerate to a single weight, and a pair's mcc is the closed-
     form segment point.  Labels are chamber-canonical (ascending coordinates),
-    sorted by norm descending, then lexicographically.  For n = 3 the labels
-    are checked against the published degree-4 classification, and for
-    d = 4, 5 and 6 against triples: the mcc of every weight triple whose pairs
-    are not root-related is already a pair label.
+    sorted by norm descending, then lexicographically.  For n <= 2 the
+    weights lie on a line, so a nice subset has the mcc of its two extreme
+    weights, a nice pair: the labels are complete.  For n = 3 they are checked
+    against the published degree-4 classification, and for d <= 6 against
+    triples (in the plane of the weights an mcc needs at most three): the mcc
+    of every weight triple whose pairs are not root-related is already a pair
+    label.  For n >= 4 labels of larger subsets may be missing.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
     roots = gl_roots(n)
-    weights = [tuple(int(x) for x in w) for w in _all_weights(n, d)]  # integer arithmetic
+    # The weights -exponents, as integer tuples for integer arithmetic.
+    weights = [tuple(-e for e in idx) for idx in PolyBackend(n, d).all_indices()]
     out = {chamber_canonical(segment_min_norm(a, b))
            for a, b in combinations_with_replacement(weights, 2)
            if a == b or [x - y for x, y in zip(a, b)] not in roots}

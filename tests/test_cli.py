@@ -86,6 +86,16 @@ def test_strata_warns_off_n3(runner):
     assert "unverified" in json.loads(res.output)["warning"]
 
 
+def test_strata_on_a_line_has_no_warning(runner):
+    # For n <= 2 the weights lie on a line, and the pair labels are complete.
+    res = _invoke(runner, ["strata", "--n", "2", "--d", "3"])
+    assert "warning" not in json.loads(res.stdout) and res.stderr == ""
+    res = _invoke(runner, ["strata", "--n", "2", "--d", "3", "--format", "csv"])
+    assert res.exit_code == 0 and res.stderr == ""
+    res = _invoke(runner, ["strata", "--n", "4", "--d", "2", "--format", "csv"])
+    assert res.stderr.startswith("# unverified")
+
+
 def test_strata_formats_and_svg(runner, tmp_path):
     res = _invoke(runner, ["strata", "--d", "2", "--format", "csv"])
     assert res.output.splitlines()[0] == "beta_0,beta_1,beta_2,norm_sq"

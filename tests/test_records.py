@@ -44,13 +44,24 @@ def test_record_reprs_name_their_fields():
         "Verdict(outcome='not_nice', beta=None, certificate=None, witness=None)")
 
 
-def test_package_imports_no_dataclasses_or_inspect():
+def _loaded_without_site(modules: str, names: set) -> str:
+    """Those of ``names`` in sys.modules after importing ``modules`` under -S."""
     # -S: without site, every module loaded comes from these imports.
-    probe = ("import sys, orbitforge.cli, orbitforge.ternary, orbitforge.nilgeom, "
-             "orbitforge.flow; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    probe = "import sys, %s; print(sorted(%r & set(sys.modules)))" % (modules, names)
     src = os.path.dirname(os.path.dirname(orbitforge.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_package_imports_no_dataclasses_or_inspect():
+    modules = "orbitforge.cli, orbitforge.ternary, orbitforge.nilgeom, orbitforge.flow"
+    assert _loaded_without_site(modules, {"dataclasses", "inspect"}) == "[]"
+
+
+def test_cli_imports_importlib_resources_only_for_the_table():
+    # load_table2_fixture imports it; nothing else of the package needs it.
+    modules = "orbitforge.cli, orbitforge.nilgeom"
+    assert _loaded_without_site(modules, {"importlib.resources"}) == "[]"

@@ -1,5 +1,7 @@
 """Representation backends, group actions, and moment maps."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -37,6 +39,19 @@ def test_bracket_index_normalization():
     assert v.norm_sq() == 2
     with pytest.raises(ValueError):
         RepVector.bracket(4, [((1, 1, 2), 1)])
+    # mu_20^3 = -mu_02^3, so the two terms cancel.
+    assert RepVector.bracket(4, [((2, 0, 3), 1), ((0, 2, 3), 1)]).is_zero()
+    assert BracketBackend(4).check_index((2, 0, 3)) == ((0, 2, 3), -1)
+    assert BracketBackend(4).check_index((0, 2, 3)) == ((0, 2, 3), 1)
+    assert PolyBackend(3, 4).check_index((1, 3, 0)) == ((1, 3, 0), 1)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("d", range(7))
+def test_poly_indices_are_every_exponent_tuple_in_lexicographic_order(n, d):
+    expected = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+    assert list(PolyBackend(n, d).all_indices()) == expected
+    assert len(expected) == math.comb(n + d - 1, d)
 
 
 def test_identity_acts_by_total_weight():
