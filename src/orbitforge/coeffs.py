@@ -5,12 +5,13 @@ Every quantity the criteria need (norms, Gram data, moment maps) is quadratic
 in the coefficients, so a single radical per coefficient keeps the whole
 pipeline rational: ``Coeff`` stores r * sqrt(s) with r rational and s a
 squarefree positive integer.  Only a ``Coeff`` made from a rational radicand
-factors it, by trial division up to ``SPLIT_LIMIT`` (a radicand that this
-cannot split raises ``RadicandError``); products fold two squarefree
-radicands with one gcd.  Sums are only defined within one radicand, and a sum
-of distinct radicands raises ``IrrationalError``.  ``json_rational`` and ``json_integer`` are the one rule
-by which input and fixture files give these numbers: rationals as strings or
-integers, signs as integers.
+factors it, by trial division up to ``SPLIT_LIMIT`` (``RadicandError`` where
+the cofactor left is at least SPLIT_LIMIT**3 and not a square); products fold
+two squarefree radicands with one gcd.  Sums are only defined within one
+radicand, and a sum of distinct radicands raises ``IrrationalError``.
+``json_rational`` and ``json_integer`` are the one rule by which input and
+fixture files give these numbers: rationals as strings or integers, signs as
+integers.
 """
 
 from __future__ import annotations
@@ -21,22 +22,22 @@ from typing import Union
 
 CoeffLike = Union["Coeff", Fraction, int, str]
 
-# Trial division stops here: the cofactor left must be 1, a perfect square or
-# below SPLIT_LIMIT**2 (then it is prime), or the radicand is refused.
+# Trial division stops here: the cofactor left must be a perfect square or below
+# SPLIT_LIMIT**3 (then it has at most two prime factors), or it is refused.
 SPLIT_LIMIT = 10 ** 6
 
 
 class RadicandError(ValueError):
     """A radicand whose square-free part trial division up to ``SPLIT_LIMIT``
-    cannot settle: its cofactor is at least SPLIT_LIMIT**2 and not a square."""
+    cannot settle: its cofactor is at least SPLIT_LIMIT**3 and not a square."""
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
     """n = k^2 * m with m squarefree; returns (k, m). Requires n >= 1.
 
     Divides out the primes below ``SPLIT_LIMIT``; the cofactor c left has no
-    such prime, so it is 1, a square, or (when c < SPLIT_LIMIT**2) a prime.
-    Any other cofactor raises RadicandError.
+    such prime, so below SPLIT_LIMIT**3 it has at most two prime factors and
+    is square-free unless it is a square.  Any other c raises RadicandError.
     """
     k, m, d = 1, 1, 2
     while d * d <= n and d < SPLIT_LIMIT:
@@ -52,9 +53,9 @@ def _square_free_split(n: int) -> tuple[int, int]:
     root = isqrt(n)
     if root * root == n:
         return k * root, m
-    if n >= SPLIT_LIMIT * SPLIT_LIMIT:
+    if n >= SPLIT_LIMIT ** 3:
         raise RadicandError("cannot split the radicand factor %d: it has no prime factor "
-                            "below %d and is neither a square nor below %d^2"
+                            "below %d and is neither a square nor below %d^3"
                             % (n, SPLIT_LIMIT, SPLIT_LIMIT))
     return k, m * n
 

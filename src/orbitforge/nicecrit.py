@@ -5,9 +5,9 @@ of it into the diagonal subalgebra; on a nice space, whether the orbit of an
 element is distinguished reduces to exact convex geometry: the minimum-norm
 point beta of the convex hull of its weights must lie in the relative
 interior of that hull.  A span of weight spaces is nice exactly when no two
-of its weights differ by a root (``is_nice``).  ``orbit_verdict`` decides one
-vector's orbit: where the span is not nice, the torus test, the vector form
-of the niceness test, may still prove it.
+of its weights differ by a root (``is_nice``, on weights and roots alone).
+``orbit_verdict`` decides one vector's orbit: where the span is not nice, the
+torus test, the vector form of the niceness test, may still prove it.
 """
 
 from __future__ import annotations
@@ -44,44 +44,43 @@ def _root_pairs(weights, roots: RootSystem):
                 yield wi, wj, gamma, gen
 
 
-def is_nice(weights: PointSet, backend, roots: RootSystem):
+def is_nice(weights: PointSet, roots: RootSystem):
     """Decide whether the span of all basis vectors with these weights is nice.
 
     Returns (True, None), or (False, NiceWitness) for the first pair whose
-    difference gamma = alpha_j - alpha_i is a root; ValueError for a weight
-    that is not one of the representation.  The generator X_gamma of g_gamma
-    maps the weight space V_p into V_{p+gamma}, so only root pairs can fail,
-    and each does.  With s = <X_gamma, X_-gamma, H_gamma> = sl_2 (each root
-    space is a line), the gamma-string of V_p is an s-module whose
-    H_gamma-eigenspaces are the V_{p+k gamma}, with eigenvalues c + 2k for the
-    integer c = <p, gamma^v>.  On an irreducible of highest weight h, X_gamma
-    is injective on every eigenspace but the top one.  If c <= -1, every
-    irreducible meeting V_p has h >= -c >= c + 2.  If c >= -1, every
-    irreducible meeting V_{p+gamma} has h >= c + 2 >= 1, so it holds the
-    eigenvalue c too.  Either way X_gamma maps some vector of V_p to a
-    nonzero vector.
+    difference gamma = alpha_j - alpha_i is a root; ValueError for roots of
+    another dimension.  The weights must be weights of the representation;
+    ``is_distinguished`` checks that.  X_gamma spanning g_gamma maps V_p into
+    V_{p+gamma}, so only root pairs can fail, and each does.  With
+    s = <X_gamma, X_-gamma, H_gamma> = sl_2 (each root space is a line), the
+    gamma-string of V_p is an s-module whose H_gamma-eigenspaces are the
+    V_{p+k gamma}, with eigenvalues c + 2k for the integer c = <p, gamma^v>.
+    On an irreducible of highest weight h, X_gamma is injective on every
+    eigenspace but the top one.  If c <= -1, every irreducible meeting V_p
+    has h >= -c >= c + 2.  If c >= -1, every irreducible meeting V_{p+gamma}
+    has h >= c + 2 >= 1, so it holds the eigenvalue c too.  Either way
+    X_gamma maps some vector of V_p to a nonzero vector.
     """
-    if backend.n != roots.n:
-        raise ValueError("backend and root system dimensions differ")
-    table = weight_classes(backend, dict.fromkeys(backend.all_indices()), projection(roots))
-    for w in weights:
-        if w not in table:
-            raise ValueError("weight %r is not a weight of this representation" % (w,))
+    if weights.dim != roots.n:
+        raise ValueError("weights and root system dimensions differ")
     for wi, wj, gamma, _ in _root_pairs(weights, roots):
         return False, NiceWitness(wi, wj, gamma)
     return True, None
 
 
 def is_distinguished(weights: PointSet, backend, roots: RootSystem) -> Verdict:
-    """Main criterion for the span of the given weights.
+    """Main criterion for the span of the given weights of the representation.
 
     Distinguished iff the span is nice and mcc of the weights lies in the
-    relative interior of their convex hull.
+    relative interior of their convex hull.  ValueError for a weight not of
+    the representation (sp-projected for sp), or roots of another dimension.
     """
-    nice, witness = is_nice(weights, backend, roots)
-    if not nice:
-        return Verdict("not_nice", witness=witness)
-    return _hull_verdict(weights)
+    table = weight_classes(backend, dict.fromkeys(backend.all_indices()), projection(roots))
+    for w in weights:
+        if w not in table:
+            raise ValueError("weight %r is not a weight of this representation" % (w,))
+    nice, witness = is_nice(weights, roots)
+    return _hull_verdict(weights) if nice else Verdict("not_nice", witness=witness)
 
 
 def _hull_verdict(weights: PointSet) -> Verdict:
@@ -115,13 +114,13 @@ def _torus_nice(parts: dict, backend, roots: RootSystem) -> bool:
 
 
 def orbit_verdict(v: RepVector, roots: RootSystem) -> Verdict:
-    """``is_distinguished`` on the (sp-projected) support of a nonzero vector v,
-    but "distinguished" where the span is not nice, the torus test passes
-    (mm(T.v) is diagonal) and beta is interior.  Without a nice span an
-    exterior beta proves nothing, so "not_nice" stands.  beta comes back in
-    the coordinates of the weights it was given (sp-projected for sp).
-    Raises ValueError for the zero vector or when v and the roots differ in
-    dimension.
+    """``is_nice``, then the hull test, on the (sp-projected) weights of v's
+    own terms (no basis is walked), but "distinguished" where the span is not
+    nice, the torus test passes (mm(T.v) is diagonal) and beta is interior.
+    Without a nice span an exterior beta proves nothing, so "not_nice" stands.
+    beta comes back in the coordinates of the weights it was given
+    (sp-projected for sp).  Raises ValueError for the zero vector or when v
+    and the roots differ in dimension.
     """
     return _orbit_verdict(weight_classes(v.backend, dict(v.sorted_terms()), projection(roots)),
                           v.backend, roots)
@@ -130,12 +129,12 @@ def orbit_verdict(v: RepVector, roots: RootSystem) -> Verdict:
 def _orbit_verdict(parts: dict, backend, roots: RootSystem) -> Verdict:
     """``orbit_verdict`` on v's weight classes, {weight: {idx: coeff}}."""
     weights = PointSet(parts)
-    verdict = is_distinguished(weights, backend, roots)
-    if verdict.outcome == "not_nice" and _torus_nice(parts, backend, roots):
+    nice, witness = is_nice(weights, roots)
+    if nice or _torus_nice(parts, backend, roots):
         hull = _hull_verdict(weights)
-        if hull.outcome == "distinguished":
+        if nice or hull.outcome == "distinguished":
             return hull
-    return verdict
+    return Verdict("not_nice", witness=witness)
 
 
 class CriticalFamily(NamedTuple):

@@ -306,8 +306,6 @@ class TableRowReport(NamedTuple):
     passed: bool
     report: MinimalReport
     dim_aut: int
-    expected_beta_norm_sq: Fraction
-    expected_dim_aut: int
     mismatches: tuple
 
 
@@ -376,8 +374,7 @@ def _verify_instance(row: dict, inst: dict) -> TableRowReport:
     dim_aut = sym_derivation_dim(mu)
     if dim_aut != expected_dim:
         mismatches.append(("dim_aut", dim_aut, expected_dim))
-    return TableRowReport(row["name"], inst["label"], not mismatches,
-                          rep, dim_aut, expected_bns, expected_dim,
+    return TableRowReport(row["name"], inst["label"], not mismatches, rep, dim_aut,
                           tuple(mismatches))
 
 

@@ -19,9 +19,9 @@ group's moment map projects it (identity for gl, ``project_sym_sp`` for sp).
 
 ``weight_classes(backend, terms, m)`` groups basis indices by their weight,
 projected to the sp(2m) diagonal when m is given: {weight: {idx: coeff}}.
-It is the one grouping.  The niceness test, the torus test, the supports,
-``weight_masses`` (each class's mass sum c^2 |e_idx|^2, for the Newton
-solve) and the minimal metric's critical bracket all read it.
+It is the one grouping.  ``is_distinguished``'s membership check, the torus
+test, the supports, ``weight_masses`` (each class's mass sum c^2 |e_idx|^2,
+for the Newton solve) and the minimal metric's critical bracket all read it.
 
 Vectors are sparse maps from basis index to an exact coefficient (rational or
 a single square root, see ``coeffs``), so that moment maps and criticality

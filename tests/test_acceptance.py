@@ -118,7 +118,7 @@ def test_criterion_5_oracle_equivalences():
     while done < 200:
         subset = rng.sample(indices, rng.randint(1, 5))
         weights = PointSet([backend.weight(i) for i in subset])
-        nice, _ = is_nice(weights, backend, roots)
+        nice, _ = is_nice(weights, roots)
         assert nice == nice_by_images(weights, backend, roots)
         done += 1
 

@@ -524,7 +524,7 @@ def test_large_radicands_finish(runner, tmp_path):
     assert res.exit_code == 1 and row["dim_aut"] == 5 and not row["passed"]
 
 
-UNSPLIT_SQ = "998244359987710471"  # 1000000007 * 998244353, both above the split limit
+UNSPLIT_SQ = "1000073001431003663"  # 1000003 * 1000033 * 1000037, above SPLIT_LIMIT**3
 
 
 @pytest.mark.parametrize("command", ["check", "minimize"])
@@ -539,6 +539,18 @@ def test_unsplittable_radicand_is_a_quick_one_line_error(runner, tmp_path, comma
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: bad term in")
     assert "RadicandError" in lines[0]
+
+
+def test_a_radicand_with_two_large_prime_factors_is_answered(runner, tmp_path):
+    # 1000000007 * 998244353: both primes above the split limit, and their
+    # product below SPLIT_LIMIT**3, so it is square-free and is split.
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps([{"i": 1, "j": 4, "k": 6, "coeff": {"sq": "998244359987710471"}},
+                                {"i": 2, "j": 3, "k": 5, "coeff": "1"}]))
+    res = runner.invoke(main, ["minimize", "--input", str(path)])
+    assert res.exit_code == 0 and res.stderr == ""
+    out = json.loads(res.stdout)
+    assert out["outcome"] == "distinguished" and out["beta_norm_sq"] == "1/1"
 
 
 def test_minimize_reports_an_unsplittable_critical_coefficient(runner, tmp_path):

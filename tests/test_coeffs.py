@@ -22,12 +22,19 @@ def test_square_free_split():
 
 
 def test_split_refuses_a_cofactor_it_cannot_settle():
-    # 1000000007 * 998244353: no prime below the limit, not a square, and
-    # above SPLIT_LIMIT**2, so trial division cannot tell its square part.
-    assert SPLIT_LIMIT ** 2 < 998244359987710471
+    # 1000003 * 1000033 * 1000037: no prime below the limit, not a square,
+    # and above SPLIT_LIMIT**3, so trial division cannot tell its square part.
+    assert SPLIT_LIMIT ** 3 < 1000073001431003663
     with pytest.raises(RadicandError, match="cannot split"):
-        Coeff.from_square(998244359987710471)
+        Coeff.from_square(1000073001431003663)
     assert issubclass(RadicandError, ValueError)
+    # p^2 q above the bound is refused too: trial division cannot tell it
+    # from a square-free p q r.
+    with pytest.raises(RadicandError, match="cannot split"):
+        _square_free_split(1000003 ** 2 * 1000033)
+    # Below SPLIT_LIMIT**3 a cofactor has at most two prime factors, so
+    # 1000000007 * 998244353, not a square, is square-free.
+    assert _square_free_split(998244359987710471) == (1, 998244359987710471)
 
 
 def test_split_accepts_large_primes_and_their_squares():

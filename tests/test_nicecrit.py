@@ -10,7 +10,8 @@ from orbitforge import _exact, lattice
 from orbitforge.lattice import gl_roots, project_to_sp_diag, projection, sp_diag_roots
 from orbitforge.nicecrit import (_root_pairs, _torus_nice, critical_coefficients,
                                  is_distinguished, is_nice, orbit_verdict)
-from orbitforge.nilgeom import bracket_from_fixture_terms, load_table2_fixture
+from orbitforge.nilgeom import (bracket_from_fixture_terms, find_minimal_metric,
+                               load_table2_fixture)
 from orbitforge.ratgeom import PointSet, Vec, interior_certificate, mcc
 from orbitforge.reps import (BracketBackend, PolyBackend, RepVector, support, support_projected,
                              weight_classes, weight_of)
@@ -76,7 +77,7 @@ def test_is_nice_matches_generator_images():
         for _ in range(200):
             subset = rng.sample(list(weight), rng.randint(1, 5))
             weights = PointSet(dict.fromkeys(weight[idx] for idx in subset))
-            nice, witness = is_nice(weights, backend, roots)
+            nice, witness = is_nice(weights, roots)
             assert nice == nice_by_images(weights, backend, roots)
             if not nice:
                 assert witness.alpha_i in weights and witness.alpha_j in weights
@@ -111,17 +112,16 @@ def test_weights_differ_by_a_root_exactly_where_a_generator_image_links_them(bac
 
 
 def test_is_nice_sp_worked_bracket():
-    backend6 = RepVector.bracket(6, [((0, 3, 5), 1)]).backend
     roots = sp_diag_roots(3)
     # The worked bracket's projected weights differ by eps_1 - eps_2 + ...:
     # pairwise differences are not sp roots, so the span is nice.
     mu = RepVector.bracket(6, [((0, 3, 5), 1), ((1, 2, 4), 1)])
-    nice, _ = is_nice(support_projected(mu, 3), backend6, roots)
+    nice, _ = is_nice(support_projected(mu, 3), roots)
     assert nice
     # Swapped centers: the projected weights differ by a root, so the span
     # is not nice.
     bad = RepVector.bracket(6, [((0, 1, 5), 1), ((2, 3, 4), 1)])
-    nice, witness = is_nice(support_projected(bad, 3), backend6, roots)
+    nice, witness = is_nice(support_projected(bad, 3), roots)
     assert not nice and witness is not None
 
 
@@ -153,6 +153,56 @@ def test_is_distinguished_verdicts():
     assert all(c > 0 for c in v.certificate)
     bad = PointSet([Vec([-4, 0, 0]), Vec([-3, -1, 0])])
     assert is_distinguished(bad, backend, roots).outcome == "not_nice"
+
+
+def test_vector_verdicts_walk_no_basis(monkeypatch):
+    # A vector's weights are its own, so its verdict never tabulates the
+    # representation's basis: not on a nice span, not on the torus path.
+    rows = {r["name"]: r for r in load_table2_fixture()["rows"]}
+    form = RepVector.poly(3, 4, [((4, 0, 0), 1), ((0, 4, 0), 1), ((0, 0, 4), 1)])
+    torus = bracket_from_fixture_terms(rows["18.(c)"]["instances"][0]["terms"])
+    mu = bracket_from_fixture_terms(rows["16.(a)"]["instances"][0]["terms"])
+
+    def walked(self):
+        raise AssertionError("the basis was walked")
+
+    monkeypatch.setattr(PolyBackend, "all_indices", walked)
+    monkeypatch.setattr(BracketBackend, "all_indices", walked)
+    assert orbit_verdict(form, gl_roots(3)).outcome == "distinguished"
+    assert orbit_verdict(torus.vector, sp_diag_roots(3)).outcome == "distinguished"
+    assert find_minimal_metric(mu).verdict.outcome == "distinguished"
+
+
+@pytest.mark.parametrize("backend, weights, roots", [
+    (PolyBackend(3, 4), [Vec([-4, 0, 0]), Vec([-1, -1, -1])], gl_roots(3)),
+    (BracketBackend(6), [project_to_sp_diag([1, -1, -1, 0, 0, 0], 3),
+                         Vec([3, 0, 0, 0, 0, -3])], sp_diag_roots(3))],
+    ids=["form_gl", "bracket_sp"])
+def test_is_distinguished_refuses_a_weight_not_of_the_representation(backend, weights, roots):
+    with pytest.raises(ValueError, match="is not a weight of this representation"):
+        is_distinguished(PointSet(weights), backend, roots)
+
+
+_FORM = RepVector.poly(3, 4, [((1, 3, 0), 1), ((2, 0, 2), 1)])
+_BRACKET = RepVector.bracket(6, [((0, 3, 5), 1), ((1, 2, 4), 1)])
+
+
+@pytest.mark.parametrize("v, weights, backend, roots", [
+    (_FORM, support(_FORM), _FORM.backend, gl_roots(4)),
+    (_FORM, support(_FORM), _FORM.backend, gl_roots(2)),
+    (_FORM, support(_FORM), PolyBackend(4, 4), gl_roots(4)),
+    (_BRACKET, support(_BRACKET), _BRACKET.backend, gl_roots(5)),
+    (_BRACKET, support_projected(_BRACKET, 3), _BRACKET.backend, sp_diag_roots(2)),
+    (_BRACKET, support_projected(_BRACKET, 3), _BRACKET.backend, sp_diag_roots(4)),
+    (_BRACKET, support_projected(_BRACKET, 3), BracketBackend(4), sp_diag_roots(3))],
+    ids=["form_gl4", "form_gl2", "form_poly4_gl4", "bracket_gl5", "bracket_sp2",
+         "bracket_sp4", "bracket4_sp3"])
+def test_roots_of_another_dimension_raise_value_error(v, weights, backend, roots):
+    with pytest.raises(ValueError):
+        is_distinguished(weights, backend, roots)
+    if v.backend.n != roots.n:
+        with pytest.raises(ValueError):
+            orbit_verdict(v, roots)
 
 
 def test_critical_coefficients_point_solution():
@@ -273,8 +323,7 @@ def test_pairwise_torus_test_matches_the_all_roots_scan():
         m = 3 if roots.subgroup == "sp" else None
         passed = _torus_nice(weight_classes(v.backend, v.terms, m), v.backend, roots)
         assert passed == torus_diagonal(v, roots), (v, roots.subgroup)
-        seen.add((passed, is_nice(support_projected(v, m) if m else support(v),
-                                   v.backend, roots)[0]))
+        seen.add((passed, is_nice(support_projected(v, m) if m else support(v), roots)[0]))
     # Both answers occur, and so does a torus pass on a span that is not nice.
     assert {(True, True), (True, False), (False, False)} <= seen
 

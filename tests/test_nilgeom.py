@@ -207,8 +207,9 @@ def test_gl_minimal_metric_of_the_five_dimensional_filiform_algebra():
 
 
 def test_find_minimal_metric_groups_once_and_runs_one_mcc_and_one_lp(monkeypatch):
-    # One grouping of the terms and one for the niceness table, then the
-    # verdict's mcc and interior LP serve the Newton solve and the bracket.
+    # One grouping of the terms and no table of the representation's weights,
+    # then the verdict's mcc and interior LP serve the Newton solve and the
+    # bracket.
     import orbitforge.flow  # noqa: F401  imported lazily; bind it before patching
     originals = {"weight_classes": reps.weight_classes, "mcc": ratgeom.mcc,
                  "interior_certificate": ratgeom.interior_certificate}
@@ -228,7 +229,7 @@ def test_find_minimal_metric_groups_once_and_runs_one_mcc_and_one_lp(monkeypatch
     rows = {r["name"]: r for r in load_table2_fixture()["rows"]}
     mu = bracket_from_fixture_terms(rows["16.(a)"]["instances"][0]["terms"])
     assert find_minimal_metric(mu).verdict.outcome == "distinguished"
-    assert counts == {"weight_classes": 2, "mcc": 1, "interior_certificate": 1}
+    assert counts == {"weight_classes": 1, "mcc": 1, "interior_certificate": 1}
 
 
 def test_torus_fallback_only_where_the_span_is_not_nice():

@@ -110,16 +110,19 @@ def test_maximal_nice_subsets_partition():
 
 def test_every_maximal_nice_subset_passes_the_full_nice_check():
     # The independent sets of the root-difference graph are nice by the
-    # pairwise argument; the full check confirms each one classify reads.
+    # pairwise argument; is_nice confirms each one classify reads, and each
+    # weight is one of the representation, as is_nice requires.
     roots, checked = gl_roots(3), 0
     for d in (4, 5, 6):
         backend = PolyBackend(3, d)
+        known = {backend.weight(idx) for idx in backend.all_indices()}
         labels = list(stratifying_set(d))
         if d == 4:
             labels.append(chamber_canonical(Vec([-3, Fraction(-1, 2), Fraction(-1, 2)])))
         for beta in labels:
             for subset in maximal_nice_subsets(omega_weights(beta, d)):
-                assert is_nice(subset, backend, roots) == (True, None), (d, beta, subset)
+                assert subset.as_set() <= known
+                assert is_nice(subset, roots) == (True, None), (d, beta, subset)
                 checked += 1
     assert checked == 68 + 296 + 1562 + 2  # d = 4, 5, 6, and the excluded label
 
