@@ -78,7 +78,6 @@ class LPResult(NamedTuple):
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[Row] = None
-    value: Optional[Fraction] = None
 
 
 def _reduced_costs(cost: Row, tableau: Matrix, basis: list[int]) -> Row:
@@ -157,5 +156,4 @@ def simplex_max(objective: Sequence, a_eq: Sequence[Sequence], b_eq: Sequence) -
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         x[bi] = tableau[i][-1]
-    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return LPResult("optimal", x, value)
+    return LPResult("optimal", x)

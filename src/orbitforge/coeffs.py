@@ -16,6 +16,7 @@ integers.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
@@ -25,6 +26,11 @@ CoeffLike = Union["Coeff", Fraction, int, str]
 # Trial division stops here: the cofactor left must be a perfect square or below
 # SPLIT_LIMIT**3 (then it has at most two prime factors), or it is refused.
 SPLIT_LIMIT = 10 ** 6
+
+# Python's default limit on the digits of an integer string also caps a decimal
+# exponent: Fraction builds 10**K for "1eK", and its radicand split takes ~K^2.
+EXPONENT_LIMIT = 4300
+_EXPONENT = re.compile(r"e[-+]?([0-9_]+)\s*\Z", re.IGNORECASE)
 
 
 class RadicandError(ValueError):
@@ -94,10 +100,14 @@ def json_rational(x) -> Fraction:
     """A JSON rational: a string such as "-3/4", or an integer.
 
     A JSON float is refused rather than read as its binary value (0.1 is not
-    1/10 in binary), and so is a boolean.
+    1/10 in binary), and so is a boolean.  A decimal exponent above
+    ``EXPONENT_LIMIT`` in absolute value is refused too.
     """
     if type(x) is not str and type(x) is not int:
         raise ValueError("%r is not a rational string or an integer" % (x,))
+    exponent = _EXPONENT.search(x) if type(x) is str else None
+    if exponent and int(exponent.group(1)) > EXPONENT_LIMIT:
+        raise ValueError("a decimal exponent above %d in absolute value" % EXPONENT_LIMIT)
     return Fraction(x)
 
 

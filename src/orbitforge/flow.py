@@ -11,8 +11,8 @@ orthogonally to the weight differences alpha_i - alpha_0, so X is searched on
 their span, whose basis is computed exactly and orthonormalized in binary64.
 Everything runs on plain Python floats: the search space has at most n - 1
 dimensions, and a small Cholesky factorization solves each Newton system.
-``_newton`` runs on the class masses (``reps.weight_masses``), and
-``solve_moment_equation(w, beta, roots)`` checks beta on them first.
+``solve_moment_equation`` is the one solver, run on class masses whose beta
+a "distinguished" verdict has certified, as ``find_minimal_metric`` does.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from math import exp, log
 from typing import NamedTuple
 
 from . import _exact
-from .lattice import RootSystem, projection
-from .ratgeom import PointSet, Vec, interior_certificate, mcc
-from .reps import RepVector, weight_classes, weight_masses
 
 ARMIJO = 1e-4
 NEWTON_TOL = 1e-12
@@ -76,31 +73,21 @@ class NewtonResult(NamedTuple):
     subspace: tuple          # orthonormal rows spanning the non-degenerate directions
 
 
-def solve_moment_equation(w: RepVector, beta, roots: RootSystem) -> NewtonResult:
-    """Newton solve of mm_a(exp(X).w) = beta over the diagonal subalgebra of
-    the group of ``roots`` (whose weights are sp-projected for sp).
+def solve_moment_equation(masses: dict, beta) -> NewtonResult:
+    """Newton solve of mm_a(exp(X).w) = beta over the diagonal subalgebra, for
+    w's class masses {(sp-projected) weight: mass} (``reps.weight_masses``).
 
-    ``beta`` must be mcc of the (projected) support and lie in the relative
-    interior of its hull, and w must have the roots' dimension; otherwise a
-    ValueError is raised.  Weights, masses and the search space are prepared
-    exactly; only the Newton iteration itself runs in binary64.
+    Precondition, not checked again: beta is the mcc of the weights and lies
+    in the relative interior of their hull, as a "distinguished" verdict
+    certifies.  X has n = len(beta) entries.  Raises ValueError for an empty
+    map, or for weights whose dimension is not n.  The search space is built
+    exactly; only the iteration itself runs in binary64.
     """
-    n = w.backend.n
-    if roots.n != n:
-        raise ValueError("vector and root system dimensions differ")
-    beta = Vec(beta)
-    masses = weight_masses(w.backend, weight_classes(w.backend, dict(w.sorted_terms()),
-                                                     projection(roots)))
-    sup = PointSet(masses)
-    if mcc(sup) != beta:
-        raise ValueError("beta is not the mcc of the support")
-    if interior_certificate(sup, beta) is None:
-        raise ValueError("beta is not in the relative interior: no solution")
-    return _newton(masses, beta, n)
-
-
-def _newton(masses: dict, beta: Vec, n: int) -> NewtonResult:
-    """Newton on class masses {weight: mass} in R^n; beta is their interior mcc."""
+    n = len(beta)
+    if not masses:
+        raise ValueError("no weights: the moment equation needs a nonzero vector")
+    if any(len(a) != n for a in masses):
+        raise ValueError("beta and the weights differ in dimension")
     alphas = sorted(masses)
     c0 = [float(masses[a]) for a in alphas]
 

@@ -155,9 +155,8 @@ class CriticalFamily(NamedTuple):
     def dimension(self) -> int:
         return len(self.kernel)
 
-    def coefficient_squares(self, point=None) -> tuple:
-        c = self.particular if point is None else point
-        return tuple(Fraction(ci) / ni for ci, ni in zip(c, self.basis_norms))
+    def coefficient_squares(self) -> tuple:
+        return tuple(Fraction(ci) / ni for ci, ni in zip(self.particular, self.basis_norms))
 
 
 def critical_coefficients(weights: PointSet, basis_norms, beta) -> Optional[CriticalFamily]:

@@ -234,16 +234,16 @@ def find_minimal_metric(mu: LieBracket, roots: RootSystem | None = None) -> Mini
     NotDistinguishedError (carrying the verdict of the span test, so
     "not_nice" when only the torus test passed) otherwise, and ValueError for
     the zero bracket or roots of another dimension (an odd n by default).
-    Returns the Newton solution X of mm(exp(X).mu) = beta together with an
-    exact critical bracket, obtained by redistributing the weight-class
-    masses onto the verdict's interior certificate; that scales each weight
-    part by one factor, so the torus test's sums stay zero and mm of the
-    bracket is diag(beta).  Where the (projected) weights are affinely
-    independent the certificate is the only critical mass distribution and
-    the bracket is exp(X).mu normalized; otherwise it can lie outside mu's
-    orbit.
+    Returns X solving mm(exp(X).mu) = beta, from one call of
+    ``flow.solve_moment_equation`` on the class masses the verdict checked,
+    and an exact critical bracket, obtained by redistributing those masses
+    onto the verdict's interior certificate; that scales each weight part by
+    one factor, so the torus test's sums stay zero and mm of the bracket is
+    diag(beta).  Where the (projected) weights are affinely independent the
+    certificate is the only critical mass distribution and the bracket is
+    exp(X).mu normalized; otherwise it can lie outside mu's orbit.
     """
-    from .flow import _newton
+    from .flow import solve_moment_equation
 
     roots = _sp_roots(mu.n) if roots is None else roots
     if mu.vector.is_zero():
@@ -254,7 +254,7 @@ def find_minimal_metric(mu: LieBracket, roots: RootSystem | None = None) -> Mini
     if verdict.outcome != "distinguished":
         raise NotDistinguishedError(verdict)
     masses = weight_masses(backend, parts)
-    result = _newton(masses, verdict.beta, mu.n)
+    result = solve_moment_equation(masses, verdict.beta)
 
     # The certificate is a critical mass distribution: positive masses on
     # the weights (in class order), summing to 1, with barycentre beta.

@@ -16,7 +16,8 @@ from orbitforge.nilgeom import (LieBracket, bracket_from_fixture_terms,
                                 load_table2_fixture, run_table2)
 from orbitforge.ratgeom import PointSet, Vec, interior_certificate, mcc
 from orbitforge.reps import (PolyBackend, RepVector, moment_map,
-                             moment_map_restricted, support, support_projected)
+                             moment_map_restricted, support, support_projected,
+                             weight_classes, weight_masses)
 from orbitforge.ternary import classify, display_type, stratifying_set, verify_table1
 
 from oracles import (apply_matrix, gram, group_scale, moment_map_float, nice_by_images,
@@ -65,7 +66,8 @@ def test_criterion_3_worked_example():
     assert tuple(x) == (Fraction(1, 2), Fraction(1, 2)) and lam == 1
     h = Fraction(1, 2)
     beta = Vec([-h, -h, 0, 0, h, h])
-    res = solve_moment_equation(mu, beta, sp_diag_roots(3))
+    masses = weight_masses(mu.backend, weight_classes(mu.backend, mu.terms, 3))
+    res = solve_moment_equation(masses, beta)
     assert res.residual <= NEWTON_TOL
     published = [log(2), 0.0, log(2), -log(2), 0.0, -log(2)]
     gap = project_to_subspace(res, res.x) - project_to_subspace(res, published)
@@ -174,7 +176,8 @@ def test_criterion_8_newton_on_all_table_cases():
                 continue
             items = [(tuple(int(-x) for x in w), 1) for w in fam.weights]
             v = RepVector(backend, items)
-            res = solve_moment_equation(v, stratum.beta, gl_roots(3))
+            masses = weight_masses(backend, weight_classes(backend, v.terms))
+            res = solve_moment_equation(masses, stratum.beta)
             assert res.residual <= NEWTON_TOL, (stratum.beta, res.residual)
             assert res.iterations <= 50 and res.hessian_psd_ok
             checked += 1
@@ -186,6 +189,7 @@ def test_criterion_8_newton_on_all_table_cases():
             beta = mcc(support_projected(mu.vector, 3))
             start = RepVector(mu.vector.backend,
                               [(idx, 1) for idx in mu.vector.terms])
-            res = solve_moment_equation(start, beta, sp_diag_roots(3))
+            masses = weight_masses(start.backend, weight_classes(start.backend, start.terms, 3))
+            res = solve_moment_equation(masses, beta)
             assert res.residual <= NEWTON_TOL, (inst["label"], res.residual)
             assert res.iterations <= 50 and res.hessian_psd_ok

@@ -541,6 +541,24 @@ def test_unsplittable_radicand_is_a_quick_one_line_error(runner, tmp_path, comma
     assert "RadicandError" in lines[0]
 
 
+def test_a_huge_decimal_exponent_is_a_quick_one_line_error(tmp_path):
+    # Fraction("1e1000000") builds 10**1000000, whose radicand split would
+    # take about half an hour; the exponent is refused before that.
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps([{"i": 1, "j": 4, "k": 6,
+                                 "coeff": {"sq": "1e1000000", "sign": 1}}]))
+    src = os.path.dirname(os.path.dirname(orbitforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-m", "orbitforge.cli", "check", "--group", "sp",
+                          "--input", str(path)], capture_output=True, text=True,
+                         env=env, timeout=30)
+    assert out.returncode == 1 and out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: bad term in")
+    assert "exponent above 4300" in lines[0]
+
+
 def test_a_radicand_with_two_large_prime_factors_is_answered(runner, tmp_path):
     # 1000000007 * 998244353: both primes above the split limit, and their
     # product below SPLIT_LIMIT**3, so it is square-free and is split.

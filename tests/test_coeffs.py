@@ -123,6 +123,10 @@ def test_rational_coeffs_hash_like_their_values_and_others_compare_unequal():
 def test_json_rationals_are_strings_or_integers():
     assert json_rational("-3/4") == Fraction(-3, 4)
     assert json_rational(5) == 5 and json_rational("1e3") == 1000
+    assert json_rational("1e4300") == 10 ** 4300
+    for bad in ("1e4301", "1e-4301"):
+        with pytest.raises(ValueError, match="exponent above 4300"):
+            json_rational(bad)
     for bad in (0.1, 1.0, float("inf"), True, None, [1]):
         with pytest.raises(ValueError, match="not a rational string or an integer"):
             json_rational(bad)

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitforge.flow import solve_moment_equation
-from orbitforge.lattice import gl_roots, sp_diag_roots
+from orbitforge.lattice import gl_roots, projection, sp_diag_roots
 from orbitforge.nicecrit import is_distinguished
 from orbitforge.nilgeom import (LieBracket, find_minimal_metric,
                                 sym_derivation_dim, validate, verify_minimal)
 from orbitforge.reps import (BracketBackend, PolyBackend, RepVector,
                              moment_map_restricted, support, support_projected,
-                             weight_of)
+                             weight_classes, weight_masses, weight_of)
 
 from oracles import project_to_subspace
 
@@ -52,7 +52,8 @@ def test_single_weight_supports_are_distinguished(kind, group, data):
     assert verdict.certificate == (1,)
     assert verdict.beta == alpha
     # The Newton search space is empty: X = 0 already solves the equation.
-    res = solve_moment_equation(v, alpha, roots)
+    classes = weight_classes(v.backend, v.terms, projection(roots))
+    res = solve_moment_equation(weight_masses(v.backend, classes), alpha)
     assert res.x == (0.0,) * n and res.residual == 0.0 and res.iterations == 0
     assert res.subspace == () and project_to_subspace(res, [1] * n) == (0,) * n
     if kind == "bracket" and group == "sp":

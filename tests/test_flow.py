@@ -11,15 +11,23 @@ import pytest
 
 import orbitforge
 from orbitforge.flow import solve_moment_equation
-from orbitforge.lattice import gl_roots, sp_diag_roots
+from orbitforge.lattice import gl_roots, projection, sp_diag_roots
 from orbitforge.nicecrit import is_distinguished
+from orbitforge.nilgeom import (LieBracket, NotDistinguishedError,
+                                bracket_from_fixture_terms, find_minimal_metric,
+                                load_table2_fixture)
 from orbitforge.ratgeom import Vec, interior_certificate
-from orbitforge.reps import RepVector, moment_map, support
+from orbitforge.reps import RepVector, moment_map, support, weight_classes, weight_masses
 
 from oracles import (float_norm_sq, group_scale, moment_map_float, project_to_subspace,
                      scale_by_diag)
 
 EVEN_QUARTICS = [(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 0), (2, 0, 2), (0, 2, 2)]
+
+
+def class_masses(v, roots):
+    """v's class masses {(projected) weight: mass}, the solver's input."""
+    return weight_masses(v.backend, weight_classes(v.backend, v.terms, projection(roots)))
 
 
 def _worked_bracket():
@@ -30,7 +38,7 @@ def test_newton_on_critical_bracket_stays_put():
     mu = _worked_bracket().scale(Fraction(1, 2))
     h = Fraction(1, 2)
     beta = Vec([-h, -h, 0, 0, h, h])
-    res = solve_moment_equation(mu, beta, sp_diag_roots(3))
+    res = solve_moment_equation(class_masses(mu, sp_diag_roots(3)), beta)
     assert res.residual <= 1e-12
     assert res.hessian_psd_ok
     # mu/2 is already critical: the solution vanishes in the search space.
@@ -44,7 +52,7 @@ def test_newton_on_critical_bracket_stays_put():
 def test_newton_reaches_quartic_critical_point():
     v = RepVector.poly(3, 4, [((1, 3, 0), 1), ((2, 0, 2), 1)])
     beta = Vec([Fraction(-11, 7), Fraction(-9, 7), Fraction(-8, 7)])
-    res = solve_moment_equation(v, beta, gl_roots(3))
+    res = solve_moment_equation(class_masses(v, gl_roots(3)), beta)
     assert res.residual <= 1e-12 and res.iterations <= 50
     moved = scale_by_diag(res.x, v.backend, v.terms)
     nsq = float_norm_sq(v.backend, moved)
@@ -54,10 +62,30 @@ def test_newton_reaches_quartic_critical_point():
     assert sq[(2, 0, 2)] == pytest.approx(1 / 7, abs=1e-12)
 
 
-def test_newton_rejects_wrong_beta():
-    v = RepVector.poly(3, 4, [((1, 3, 0), 1), ((2, 0, 2), 1)])
-    with pytest.raises(ValueError):
-        solve_moment_equation(v, Vec([-2, -1, -1]), gl_roots(3))
+def test_newton_rejects_empty_and_mismatched_masses():
+    with pytest.raises(ValueError, match="no weights"):
+        solve_moment_equation({}, Vec([0, 0, 0]))
+    masses = class_masses(RepVector.poly(3, 4, [((1, 3, 0), 1), ((2, 0, 2), 1)]), gl_roots(3))
+    with pytest.raises(ValueError, match="dimension"):
+        solve_moment_equation(masses, Vec([-2, -2]))
+
+
+def test_find_minimal_metric_solves_through_the_one_newton_entry(monkeypatch):
+    calls = []
+
+    def counted(masses, beta):
+        calls.append(beta)
+        return solve_moment_equation(masses, beta)
+
+    monkeypatch.setattr(orbitforge.flow, "solve_moment_equation", counted)
+    row = next(r for r in load_table2_fixture()["rows"] if r["name"] == "16.(a)")
+    find_minimal_metric(bracket_from_fixture_terms(row["instances"][0]["terms"]))
+    assert len(calls) == 1
+    find_minimal_metric(LieBracket.from_terms(3, [((0, 1, 2), 1)]), gl_roots(3))
+    assert len(calls) == 2
+    with pytest.raises(NotDistinguishedError) as err:
+        find_minimal_metric(LieBracket.from_terms(6, [((0, 1, 5), 1), ((2, 3, 4), 1)]))
+    assert err.value.verdict.outcome == "not_nice" and len(calls) == 2
 
 
 def _random_even_element(rng):
@@ -123,7 +151,7 @@ def test_newton_takes_full_steps_below_float_noise():
     # form used to stall there at residual 1e-8.
     v = RepVector.poly(3, 6, [((5, 0, 1), Fraction(1, 3)), ((2, 4, 0), Fraction(3, 4)),
                               ((0, 4, 2), 2), ((1, 2, 3), Fraction(-5, 4))])
-    res = solve_moment_equation(v, (-2, -2, -2), gl_roots(3))
+    res = solve_moment_equation(class_masses(v, gl_roots(3)), (-2, -2, -2))
     assert res.residual <= 1e-12
 
 
@@ -143,7 +171,7 @@ def test_newton_converges_on_random_distinguished_forms():
         verdict = is_distinguished(support(v), v.backend, gl_roots(3))
         if verdict.outcome != "distinguished":
             continue
-        res = solve_moment_equation(v, verdict.beta, gl_roots(3))
+        res = solve_moment_equation(class_masses(v, gl_roots(3)), verdict.beta)
         assert res.residual <= 1e-12 and res.hessian_psd_ok, (v, res)
         # The search space is an orthonormal basis of the weight differences.
         rows = res.subspace
